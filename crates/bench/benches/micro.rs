@@ -10,7 +10,7 @@ use pharmaverify_corpus::{CorpusConfig, SyntheticWeb};
 use pharmaverify_crawl::{html, CrawlConfig, Crawler, Url};
 use pharmaverify_ml::{Dataset, DecisionTree, Learner, LinearSvm, MultinomialNaiveBayes, Sampling};
 use pharmaverify_net::TrustRankConfig;
-use pharmaverify_ngg::{GraphSimilarities, NGramGraphBuilder};
+use pharmaverify_ngg::{GramTable, GraphSimilarities, NGramGraphBuilder, NggClassGraphs};
 use pharmaverify_text::{preprocess, TfIdfModel};
 
 fn sample_page() -> String {
@@ -58,13 +58,25 @@ fn bench_ngg(c: &mut Criterion) {
     let corpus = extract_corpus(web.snapshot(), &CrawlConfig::default()).expect("extracts");
     let builder = NGramGraphBuilder::default();
     let text = &corpus.summaries[0];
-    c.bench_function("ngg_build_doc_graph", |b| b.iter(|| builder.build(text)));
-
-    let g1 = builder.build(&corpus.summaries[0]);
-    let g2 = builder.build(&corpus.summaries[1]);
-    c.bench_function("ngg_similarities", |b| {
-        b.iter(|| GraphSimilarities::compute(&g1, &g2))
+    let mut grams = GramTable::default();
+    c.bench_function("ngg_build_doc_graph", |b| {
+        b.iter(|| builder.build(text, &mut grams))
     });
+
+    let (mut legit, mut illegit) = (Vec::new(), Vec::new());
+    for (summary, &label) in corpus.summaries.iter().zip(&corpus.labels) {
+        if label { &mut legit } else { &mut illegit }.push(summary.as_str());
+    }
+    c.bench_function("ngg_class_graph_build", |b| {
+        b.iter(|| NggClassGraphs::build(builder, &legit, &illegit, 7))
+    });
+
+    let graphs = NggClassGraphs::build(builder, &legit, &illegit, 7);
+    let doc = graphs.document_graph(text);
+    c.bench_function("ngg_similarities", |b| {
+        b.iter(|| GraphSimilarities::compute(&doc, graphs.legitimate()))
+    });
+    c.bench_function("ngg_features", |b| b.iter(|| graphs.features(text)));
 }
 
 fn bench_network(c: &mut Criterion) {

@@ -1,0 +1,47 @@
+//! Golden digest of every N-Gram-Graph feature vector the OPC pipeline
+//! computes on the small corpus.
+//!
+//! The digest is FNV-1a over the little-endian `to_bits` of all 8
+//! features, for every document against the class graphs of every fold
+//! (small corpus, seed 20180326, the default 1000-term subsample, 3-fold
+//! CV). It was recorded with the string-keyed n-gram graph
+//! implementation; the packed-code implementation must reproduce it bit
+//! for bit. A change to the digest is a change to every NGG number the
+//! system reports.
+
+use pharmaverify_core::{extract_corpus, ArtifactStore, Pipeline, SystemConfig};
+use pharmaverify_corpus::{CorpusConfig, SyntheticWeb};
+use pharmaverify_crawl::CrawlConfig;
+
+const SEED: u64 = 20180326;
+const GOLDEN: u64 = 0x1ed9_d6fc_adff_7217;
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn ngg_features_match_golden_digest() {
+    let web = SyntheticWeb::generate(&CorpusConfig::small(), SEED);
+    let corpus = extract_corpus(web.snapshot(), &CrawlConfig::default()).expect("extracts");
+    let config = SystemConfig::default();
+    let store = ArtifactStore::new();
+    let pipe = Pipeline::new(&store, &corpus);
+    let texts = pipe.ngg_texts(config.subsample, SEED);
+    let split = pipe.fold_split(config.folds, SEED);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut vectors = 0usize;
+    for fold in 0..split.k() {
+        let graphs = pipe.ngg_class_graphs(config.subsample, SEED, fold, split.train(fold));
+        for text in texts.iter() {
+            for value in graphs.features(text).to_vec() {
+                hash = fnv1a(hash, &value.to_bits().to_le_bytes());
+            }
+            vectors += 1;
+        }
+    }
+    assert_eq!(vectors, split.k() * corpus.len());
+    assert_eq!(hash, GOLDEN, "NGG feature digest {hash:#018x}");
+}

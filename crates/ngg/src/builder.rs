@@ -6,7 +6,7 @@
 //! co-occurrence of §4.1.2 — and each co-occurrence adds 1 to the directed
 //! edge's weight.
 
-use crate::graph::NGramGraph;
+use crate::graph::{GramTable, NGramGraph};
 use crate::{NGRAM_RANK, WINDOW};
 
 /// Builds [`NGramGraph`]s from text with configurable rank and window.
@@ -14,11 +14,12 @@ use crate::{NGRAM_RANK, WINDOW};
 /// # Examples
 ///
 /// ```
-/// use pharmaverify_ngg::{GraphSimilarities, NGramGraphBuilder};
+/// use pharmaverify_ngg::{ClassGraph, GramTable, GraphSimilarities, NGramGraphBuilder};
 ///
 /// let builder = NGramGraphBuilder::default(); // paper config: 4/4
-/// let a = builder.build("no prescription needed");
-/// let b = builder.build("no prescription required");
+/// let mut grams = GramTable::default();
+/// let a = builder.build("no prescription needed", &mut grams);
+/// let b = ClassGraph::average([builder.build("no prescription required", &mut grams)]);
 /// let sims = GraphSimilarities::compute(&a, &b);
 /// assert!(sims.cs > 0.5); // heavily shared character structure
 /// ```
@@ -59,111 +60,84 @@ impl NGramGraphBuilder {
         self.window
     }
 
-    /// Builds the n-gram graph of `text`. Texts shorter than the rank
-    /// produce an empty graph; a text with exactly one n-gram produces a
-    /// single vertex and no edges.
-    pub fn build(&self, text: &str) -> NGramGraph {
-        let mut graph = NGramGraph::new();
-        // Byte offsets of char boundaries let us slice n-grams without
-        // allocating per window.
-        let boundaries: Vec<usize> = text
-            .char_indices()
-            .map(|(i, _)| i)
-            .chain(std::iter::once(text.len()))
-            .collect();
-        let n_chars = boundaries.len() - 1;
-        if n_chars < self.rank {
-            return graph;
-        }
-        let n_grams = n_chars - self.rank + 1;
-        let mut ids: Vec<u32> = Vec::with_capacity(n_grams);
-        for start in 0..n_grams {
-            let slice = &text[boundaries[start]..boundaries[start + self.rank]];
-            ids.push(graph.intern(slice));
-        }
-        for (pos, &from) in ids.iter().enumerate() {
-            let end = (pos + self.window).min(n_grams - 1);
-            for &to in &ids[pos + 1..=end] {
-                graph.bump_edge(from, to, 1.0);
-            }
-        }
-        graph
+    /// Builds the n-gram graph of `text`, interning in `grams` every gram
+    /// that does not pack. Texts shorter than the rank produce an empty
+    /// graph; a text with exactly one n-gram produces a single vertex and
+    /// no edges.
+    pub fn build(&self, text: &str, grams: &mut GramTable) -> NGramGraph {
+        self.build_with(text, |gram| grams.intern(gram))
+    }
+
+    /// Builds the n-gram graph of `text`, coding grams with `code`. Rank-4
+    /// grams of ASCII text pack straight from the bytes, as `code` would.
+    pub(crate) fn build_with(&self, text: &str, mut code: impl FnMut(&str) -> u32) -> NGramGraph {
+        let codes: Vec<u32> = if self.rank == 4 && text.is_ascii() {
+            text.as_bytes()
+                .windows(4)
+                .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+                .collect()
+        } else {
+            // Byte offsets of char boundaries slice n-grams without
+            // allocating per window.
+            let mut boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+            boundaries.push(text.len());
+            boundaries
+                .windows(self.rank + 1)
+                .map(|w| code(&text[w[0]..w[self.rank]]))
+                .collect()
+        };
+        NGramGraph::from_codes(&codes, self.window)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::edge_key;
+    use crate::merge::ClassGraph;
 
-    #[test]
-    fn short_text_empty_graph() {
-        let b = NGramGraphBuilder::default();
-        assert!(b.build("abc").is_empty());
-        assert!(b.build("").is_empty());
+    /// The weight of `from → to` in the graph of `text`.
+    fn weight(rank: usize, window: usize, text: &str, from: &str, to: &str) -> Option<f64> {
+        let mut grams = GramTable::default();
+        let g = NGramGraphBuilder::new(rank, window).build(text, &mut grams);
+        ClassGraph::average([g]).weight(edge_key(grams.code(from)?, grams.code(to)?))
     }
 
     #[test]
-    fn single_ngram_has_node_no_edges() {
-        let b = NGramGraphBuilder::default();
-        let g = b.build("abcd");
-        assert_eq!(g.node_count(), 1);
-        assert_eq!(g.edge_count(), 0);
+    fn node_and_edge_counts() {
+        let shape = |(rank, window, text)| {
+            let g = NGramGraphBuilder::new(rank, window).build(text, &mut GramTable::default());
+            (g.node_count(), g.edge_count())
+        };
+        // Too short: empty. One 4-gram: one node. "abcd" at rank 2 and
+        // window 2: ab→bc, ab→cd, bc→cd.
+        let cases = [
+            (4, 4, ""),
+            (4, 4, "abc"),
+            (4, 4, "abcd"),
+            (2, 1, "abc"),
+            (2, 2, "abcd"),
+        ];
+        assert_eq!(cases.map(shape), [(0, 0), (0, 0), (1, 0), (2, 1), (3, 3)]);
     }
 
     #[test]
-    fn adjacent_ngrams_connected() {
-        let b = NGramGraphBuilder::new(2, 1);
+    fn edges_connect_grams_within_the_window() {
         // "abc" → grams "ab", "bc"; window 1 → edge ab→bc only.
-        let g = b.build("abc");
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
-        assert_eq!(g.edge_weight_by_name("ab", "bc"), Some(1.0));
-        assert_eq!(g.edge_weight_by_name("bc", "ab"), None);
-    }
-
-    #[test]
-    fn window_reaches_farther_grams() {
-        let b = NGramGraphBuilder::new(2, 2);
-        // "abcd" → grams ab, bc, cd. ab→bc, ab→cd, bc→cd.
-        let g = b.build("abcd");
-        assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.edge_weight_by_name("ab", "cd"), Some(1.0));
-    }
-
-    #[test]
-    fn repetition_increases_weight() {
-        let b = NGramGraphBuilder::new(1, 1);
+        assert_eq!(weight(2, 1, "abc", "ab", "bc"), Some(1.0));
+        assert_eq!(weight(2, 1, "abc", "bc", "ab"), None);
+        assert_eq!(weight(2, 2, "abcd", "ab", "cd"), Some(1.0));
         // "abab": grams a,b,a,b → edges a→b (x2), b→a (x1).
-        let g = b.build("abab");
-        assert_eq!(g.edge_weight_by_name("a", "b"), Some(2.0));
-        assert_eq!(g.edge_weight_by_name("b", "a"), Some(1.0));
-    }
-
-    #[test]
-    fn identical_texts_identical_graphs() {
-        let b = NGramGraphBuilder::default();
-        let g1 = b.build("no prescription needed viagra");
-        let g2 = b.build("no prescription needed viagra");
-        assert_eq!(g1.edge_count(), g2.edge_count());
-        for (f, t, w) in g1.iter_edges() {
-            assert_eq!(g2.edge_weight_by_name(f, t), Some(w));
-        }
-    }
-
-    #[test]
-    fn unicode_boundaries_respected() {
-        let b = NGramGraphBuilder::new(2, 1);
-        // Must not panic on multi-byte chars and must slice on char bounds.
-        let g = b.build("naïveté");
-        assert!(g.node_count() > 0);
-        assert!(g.gram_id("aï").is_some());
+        assert_eq!(weight(1, 1, "abab", "a", "b"), Some(2.0));
+        assert_eq!(weight(1, 1, "abab", "b", "a"), Some(1.0));
+        // Multi-byte chars slice on char bounds.
+        assert_eq!(weight(2, 1, "naïveté", "aï", "ïv"), Some(1.0));
     }
 
     #[test]
     fn default_is_paper_config() {
         let b = NGramGraphBuilder::default();
-        assert_eq!(b.rank(), 4);
-        assert_eq!(b.window(), 4);
+        assert_eq!((b.rank(), b.window()), (4, 4));
     }
 
     #[test]

@@ -7,19 +7,22 @@
 //! 8-dimensional feature vector fed to the downstream classifiers.
 
 use crate::builder::NGramGraphBuilder;
-use crate::graph::NGramGraph;
+use crate::graph::{GramTable, NGramGraph};
 use crate::merge::ClassGraph;
 use crate::similarity::GraphSimilarities;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// The two class graphs of the binary pharmacy-verification task.
+/// The two class graphs of the binary pharmacy-verification task, with
+/// the gram table that codes them. The table is written only while the
+/// class graphs are built; documents are coded against it read-only.
 #[derive(Debug, Clone)]
 pub struct NggClassGraphs {
     builder: NGramGraphBuilder,
-    legitimate: NGramGraph,
-    illegitimate: NGramGraph,
+    grams: GramTable,
+    legitimate: ClassGraph,
+    illegitimate: ClassGraph,
 }
 
 /// The 8 similarity features of one document against both class graphs.
@@ -88,13 +91,9 @@ impl NggClassGraphs {
     ) -> Self {
         let _span = pharmaverify_obs::global().span("ngg/class-graphs/build");
         let mut rng = SmallRng::seed_from_u64(seed);
-        let legitimate = Self::merge_half(&builder, legitimate_texts, &mut rng);
-        let illegitimate = Self::merge_half(&builder, illegitimate_texts, &mut rng);
-        NggClassGraphs {
-            builder,
-            legitimate,
-            illegitimate,
-        }
+        let legitimate = Self::sample_half(legitimate_texts, &mut rng);
+        let illegitimate = Self::sample_half(illegitimate_texts, &mut rng);
+        Self::build_full(builder, &legitimate, &illegitimate)
     }
 
     /// Builds class graphs from *all* the given texts (no sampling) —
@@ -104,53 +103,49 @@ impl NggClassGraphs {
         legitimate_texts: &[&str],
         illegitimate_texts: &[&str],
     ) -> Self {
-        let mut legit = ClassGraph::new();
-        for t in legitimate_texts {
-            legit.merge(&builder.build(t));
-        }
-        let mut illegit = ClassGraph::new();
-        for t in illegitimate_texts {
-            illegit.merge(&builder.build(t));
-        }
+        let mut grams = GramTable::default();
+        let mut class = |texts: &[&str]| {
+            ClassGraph::average(texts.iter().map(|t| builder.build(t, &mut grams)))
+        };
+        let (legitimate, illegitimate) = (class(legitimate_texts), class(illegitimate_texts));
         NggClassGraphs {
             builder,
-            legitimate: legit.into_graph(),
-            illegitimate: illegit.into_graph(),
+            grams,
+            legitimate,
+            illegitimate,
         }
     }
 
-    fn merge_half(builder: &NGramGraphBuilder, texts: &[&str], rng: &mut SmallRng) -> NGramGraph {
+    /// A seeded random half of `texts` (at least one), in shuffled order.
+    fn sample_half<'t>(texts: &[&'t str], rng: &mut SmallRng) -> Vec<&'t str> {
         let mut indices: Vec<usize> = (0..texts.len()).collect();
         indices.shuffle(rng);
         let take = (texts.len() / 2).max(1).min(texts.len());
-        let mut class = ClassGraph::new();
-        for &i in indices.iter().take(take) {
-            class.merge(&builder.build(texts[i]));
-        }
-        class.into_graph()
+        indices[..take].iter().map(|&i| texts[i]).collect()
     }
 
     /// The merged legitimate-class graph.
-    pub fn legitimate(&self) -> &NGramGraph {
+    pub fn legitimate(&self) -> &ClassGraph {
         &self.legitimate
     }
 
     /// The merged illegitimate-class graph.
-    pub fn illegitimate(&self) -> &NGramGraph {
+    pub fn illegitimate(&self) -> &ClassGraph {
         &self.illegitimate
+    }
+
+    /// The graph of one document text, coded against the class graphs'
+    /// gram table without changing it.
+    pub fn document_graph(&self, text: &str) -> NGramGraph {
+        self.builder.build_with(text, self.grams.reader())
     }
 
     /// Extracts the 8 similarity features for one document text.
     pub fn features(&self, text: &str) -> NggFeatures {
-        let doc = self.builder.build(text);
-        self.features_of_graph(&doc)
-    }
-
-    /// Extracts features for an already-built document graph.
-    pub fn features_of_graph(&self, doc: &NGramGraph) -> NggFeatures {
+        let doc = self.document_graph(text);
         NggFeatures {
-            legitimate: GraphSimilarities::compute(doc, &self.legitimate),
-            illegitimate: GraphSimilarities::compute(doc, &self.illegitimate),
+            legitimate: GraphSimilarities::compute(&doc, &self.legitimate),
+            illegitimate: GraphSimilarities::compute(&doc, &self.illegitimate),
         }
     }
 }
@@ -175,41 +170,25 @@ mod tests {
     }
 
     #[test]
-    fn class_graphs_nonempty() {
-        let g = graphs();
-        assert!(g.legitimate().edge_count() > 0);
-        assert!(g.illegitimate().edge_count() > 0);
-    }
-
-    #[test]
     fn legit_doc_closer_to_legit_graph() {
-        let g = graphs();
-        let f = g.features("licensed pharmacist prescription refill insurance");
-        assert!(
-            f.legitimate.vs > f.illegitimate.vs,
-            "VS: {} vs {}",
-            f.legitimate.vs,
-            f.illegitimate.vs
-        );
+        let f = graphs().features("licensed pharmacist prescription refill insurance");
+        assert!(f.legitimate.vs > f.illegitimate.vs, "{f:?}");
         assert!(f.text_rank() > 4.0, "text_rank = {}", f.text_rank());
     }
 
     #[test]
     fn illegit_doc_closer_to_illegit_graph() {
-        let g = graphs();
-        let f = g.features("viagra cialis no prescription cheap discount pills");
+        let f = graphs().features("viagra cialis no prescription cheap discount pills");
         assert!(f.illegitimate.cs > f.legitimate.cs);
         assert!(f.text_rank() < 4.5, "text_rank = {}", f.text_rank());
     }
 
     #[test]
     fn feature_vector_layout() {
-        let g = graphs();
-        let f = g.features(LEGIT[0]);
+        let f = graphs().features(LEGIT[0]);
         let v = f.to_vec();
         assert_eq!(v.len(), ngg_feature_names().len());
-        assert_eq!(v[0], f.legitimate.cs);
-        assert_eq!(v[7], f.illegitimate.nvs);
+        assert_eq!((v[0], v[7]), (f.legitimate.cs, f.illegitimate.nvs));
     }
 
     #[test]
@@ -223,29 +202,27 @@ mod tests {
 
     #[test]
     fn sampled_build_is_deterministic() {
-        let b = NGramGraphBuilder::default();
-        let g1 = NggClassGraphs::build(b, LEGIT, ILLEGIT, 11);
-        let g2 = NggClassGraphs::build(b, LEGIT, ILLEGIT, 11);
+        let build = || NggClassGraphs::build(NGramGraphBuilder::default(), LEGIT, ILLEGIT, 11);
+        let (g1, g2) = (build(), build());
         assert_eq!(g1.legitimate().edge_count(), g2.legitimate().edge_count());
-        let f1 = g1.features(LEGIT[0]).to_vec();
-        let f2 = g2.features(LEGIT[0]).to_vec();
-        assert_eq!(f1, f2);
+        let features = |g: &NggClassGraphs| g.features(LEGIT[0]).to_vec();
+        assert_eq!(features(&g1), features(&g2));
     }
 
     #[test]
     fn sampled_build_uses_half() {
-        let b = NGramGraphBuilder::default();
-        let g = NggClassGraphs::build(b, LEGIT, ILLEGIT, 3);
         // 3 docs → half = 1 doc merged; graph must still be non-empty.
-        assert!(g.legitimate().edge_count() > 0);
+        let g = NggClassGraphs::build(NGramGraphBuilder::default(), LEGIT, ILLEGIT, 3);
+        assert_eq!(g.legitimate().merged_count(), 1);
+        assert!(g.legitimate().edge_count() > 0 && g.illegitimate().edge_count() > 0);
+        let full = graphs();
+        assert!(full.legitimate().edge_count() > g.legitimate().edge_count());
     }
 
     #[test]
     fn empty_document_features_are_zero() {
-        let g = graphs();
-        let f = g.features("");
-        assert_eq!(f.legitimate.cs, 0.0);
-        assert_eq!(f.illegitimate.vs, 0.0);
+        let f = graphs().features("");
+        assert_eq!((f.legitimate.cs, f.illegitimate.vs), (0.0, 0.0));
         // Equation 3 on an all-zero feature set: 0 + 1 + … = 4.
         assert_eq!(f.text_rank(), 4.0);
     }

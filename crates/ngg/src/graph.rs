@@ -1,77 +1,131 @@
-//! The n-gram graph data structure.
+//! Gram codes and the document n-gram graph.
 //!
-//! Vertices are character n-grams, interned to dense `u32` ids. Edges are
-//! directed `(from, to)` pairs with `f64` weights, stored in an ordered
-//! map: iteration order must be deterministic because class-graph merging
-//! interns grams in edge-iteration order and the similarity measures sum
-//! `f64` weights over it — with a hash map both would vary run to run
-//! with the hasher's random state. Lookups go from O(1) to O(log E),
-//! which is invisible next to the graph-construction cost.
+//! Every n-gram is a `u32` *code*. A gram of exactly four ASCII bytes —
+//! what the paper's rank 4 yields on ASCII text — packs its bytes
+//! little-endian, so the top bit is clear. Every other gram (non-ASCII,
+//! or another rank) is interned in a [`GramTable`] and gets a code with
+//! the top bit set, so the two kinds never collide. An edge is the pair
+//! of its endpoint codes packed into one `u64` key.
+//!
+//! A document graph is a vector of `(key, weight)` edges ordered by the
+//! first appearance of the source gram in the text, then of the target:
+//! the similarity measures sum `f64` values in that order, which the text
+//! alone fixes. Construction sorts twice and builds no map: once to find
+//! each gram's first position, once to sort the window pairs (as
+//! first-position pairs) into runs whose lengths are the edge weights.
 
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 
-/// A weighted directed graph over interned character n-grams.
+/// The top bit marks an interned code; packed ASCII codes leave it clear.
+const INTERNED: u32 = 1 << 31;
+
+/// The edge key of `from → to`: both codes packed into one `u64`.
+pub(crate) fn edge_key(from: u32, to: u32) -> u64 {
+    (u64::from(from) << 32) | u64::from(to)
+}
+
+/// The packed code of a gram of exactly four ASCII bytes.
+fn packed(gram: &str) -> Option<u32> {
+    match *gram.as_bytes() {
+        [a, b, c, d] if gram.is_ascii() => Some(u32::from_le_bytes([a, b, c, d])),
+        _ => None,
+    }
+}
+
+/// The interner of grams that do not pack: maps each to a code with the
+/// top bit set. One table codes every graph that is compared.
+#[derive(Debug, Clone, Default)]
+pub struct GramTable {
+    index: HashMap<Box<str>, u32>,
+}
+
+impl GramTable {
+    /// The code of `gram`, `None` when it neither packs nor is interned.
+    pub(crate) fn code(&self, gram: &str) -> Option<u32> {
+        packed(gram).or_else(|| self.index.get(gram).copied())
+    }
+
+    /// The code of `gram`, interning it when it neither packs nor is
+    /// interned yet.
+    pub fn intern(&mut self, gram: &str) -> u32 {
+        if let Some(code) = self.code(gram) {
+            return code;
+        }
+        // Interned codes stay below `u32::MAX`, so no class-graph key can
+        // equal its empty-slot marker `u64::MAX`.
+        assert!(self.index.len() < INTERNED as usize - 1, "gram table full");
+        let code = INTERNED | self.index.len() as u32;
+        self.index.insert(gram.into(), code);
+        code
+    }
+
+    /// A coder that leaves the table as it is. Grams the table lacks get
+    /// fresh codes past its end: their edges still count towards `|G|`,
+    /// but match no edge of a graph coded by the table.
+    pub(crate) fn reader(&self) -> impl FnMut(&str) -> u32 + '_ {
+        let mut unseen: HashMap<Box<str>, u32> = HashMap::new();
+        move |gram| {
+            if let Some(code) = self.code(gram).or_else(|| unseen.get(gram).copied()) {
+                return code;
+            }
+            let code = INTERNED | (self.index.len() + unseen.len()) as u32;
+            unseen.insert(gram.into(), code);
+            code
+        }
+    }
+}
+
+/// The n-gram graph of one document: weighted directed edges between
+/// gram codes, in first-appearance order.
 #[derive(Debug, Clone, Default)]
 pub struct NGramGraph {
-    grams: Vec<Box<str>>,
-    index: HashMap<Box<str>, u32>,
-    edges: BTreeMap<(u32, u32), f64>,
+    edges: Vec<(u64, f64)>,
+    nodes: usize,
 }
 
 impl NGramGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns an n-gram, returning its id.
-    pub fn intern(&mut self, gram: &str) -> u32 {
-        if let Some(&id) = self.index.get(gram) {
-            return id;
+    /// The graph of the gram sequence `codes`: each gram is linked to the
+    /// grams starting within the next `window` positions, and each such
+    /// co-occurrence adds 1 to the edge's weight.
+    pub(crate) fn from_codes(codes: &[u32], window: usize) -> Self {
+        // (code, position) packed like an edge key: one sort groups each
+        // gram's positions, smallest first.
+        let mut by_code: Vec<u64> = codes
+            .iter()
+            .enumerate()
+            .map(|(pos, &code)| edge_key(code, pos as u32))
+            .collect();
+        by_code.sort_unstable();
+        // first[p]: the position where the gram at `p` first appears.
+        let mut first = vec![0u32; codes.len()];
+        let mut nodes = 0;
+        for run in by_code.chunk_by(|a, b| a >> 32 == b >> 32) {
+            nodes += 1;
+            for &entry in run {
+                first[entry as u32 as usize] = run[0] as u32;
+            }
         }
-        let id = self.grams.len() as u32;
-        let boxed: Box<str> = gram.into();
-        self.grams.push(boxed.clone());
-        self.index.insert(boxed, id);
-        id
+        let mut pairs = Vec::with_capacity(codes.len() * window);
+        for (pos, &from) in first.iter().enumerate() {
+            let end = (pos + 1 + window).min(first.len());
+            for &to in &first[pos + 1..end] {
+                pairs.push(edge_key(from, to));
+            }
+        }
+        pairs.sort_unstable();
+        let edges = pairs
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                let (from, to) = ((run[0] >> 32) as usize, run[0] as u32 as usize);
+                (edge_key(codes[from], codes[to]), run.len() as f64)
+            })
+            .collect();
+        NGramGraph { edges, nodes }
     }
 
-    /// The id of `gram`, if present.
-    pub fn gram_id(&self, gram: &str) -> Option<u32> {
-        self.index.get(gram).copied()
-    }
-
-    /// The n-gram with the given id.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn gram(&self, id: u32) -> &str {
-        &self.grams[id as usize]
-    }
-
-    /// Adds `delta` to the weight of edge `(from, to)` (creating it at 0).
-    pub fn bump_edge(&mut self, from: u32, to: u32, delta: f64) {
-        *self.edges.entry((from, to)).or_insert(0.0) += delta;
-    }
-
-    /// Sets the weight of edge `(from, to)` exactly.
-    pub fn set_edge(&mut self, from: u32, to: u32, weight: f64) {
-        self.edges.insert((from, to), weight);
-    }
-
-    /// The weight of the edge between two interned ids, 0.0 when absent.
-    pub fn edge_weight(&self, from: u32, to: u32) -> f64 {
-        self.edges.get(&(from, to)).copied().unwrap_or(0.0)
-    }
-
-    /// The weight of the edge between two n-grams *by name*, 0.0 when
-    /// either endpoint or the edge is absent. This is the lookup used when
-    /// comparing edges across two different graphs, whose ids differ.
-    pub fn edge_weight_by_name(&self, from: &str, to: &str) -> Option<f64> {
-        let f = self.index.get(from)?;
-        let t = self.index.get(to)?;
-        self.edges.get(&(*f, *t)).copied()
+    /// The edges as `(key, weight)`, in first-appearance order.
+    pub fn edges(&self) -> &[(u64, f64)] {
+        &self.edges
     }
 
     /// Number of edges — the graph cardinality `|G|` used by all the
@@ -82,44 +136,12 @@ impl NGramGraph {
 
     /// Number of distinct n-gram vertices.
     pub fn node_count(&self) -> usize {
-        self.grams.len()
+        self.nodes
     }
 
     /// True when the graph has no edges.
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
-    }
-
-    /// Iterates edges as `(from_gram, to_gram, weight)`.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (&str, &str, f64)> {
-        self.edges
-            .iter()
-            .map(move |(&(f, t), &w)| (self.gram(f), self.gram(t), w))
-    }
-
-    /// Iterates edges as interned `(from_id, to_id, weight)` triples, in
-    /// the same deterministic order as [`NGramGraph::iter_edges`].
-    pub fn iter_edge_ids(&self) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
-        self.edges.iter().map(|(&(f, t), &w)| (f, t, w))
-    }
-
-    /// The weight of edge `(from, to)`, `None` when absent — unlike
-    /// [`NGramGraph::edge_weight`], distinguishes a missing edge from a
-    /// stored zero weight.
-    pub fn edge_weight_checked(&self, from: u32, to: u32) -> Option<f64> {
-        self.edges.get(&(from, to)).copied()
-    }
-
-    /// Total of all edge weights.
-    pub fn total_weight(&self) -> f64 {
-        self.edges.values().sum()
-    }
-
-    /// Multiplies every edge weight by `factor` (class-graph averaging).
-    pub fn scale_weights(&mut self, factor: f64) {
-        for w in self.edges.values_mut() {
-            *w *= factor;
-        }
     }
 }
 
@@ -128,62 +150,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn intern_is_idempotent() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("phar");
-        let b = g.intern("phar");
-        assert_eq!(a, b);
-        assert_eq!(g.node_count(), 1);
-        assert_eq!(g.gram(a), "phar");
+    fn ascii_quads_pack_and_others_intern() {
+        let mut grams = GramTable::default();
+        assert_eq!(grams.intern("phar"), u32::from_le_bytes(*b"phar"));
+        let (ph, again) = (grams.intern("ph"), grams.intern("ph"));
+        assert_eq!((ph, again, grams.index.len()), (INTERNED, INTERNED, 1));
+        assert_eq!((grams.code("ph"), grams.code("zz")), (Some(INTERNED), None));
     }
 
     #[test]
-    fn bump_accumulates() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("phar");
-        let b = g.intern("harm");
-        g.bump_edge(a, b, 1.0);
-        g.bump_edge(a, b, 2.0);
-        assert_eq!(g.edge_weight(a, b), 3.0);
-        assert_eq!(g.edge_count(), 1);
+    fn reader_codes_unseen_grams_apart_without_interning() {
+        let mut grams = GramTable::default();
+        let known = grams.intern("ab");
+        let mut read = grams.reader();
+        let (x, y) = (read("xy"), read("yx"));
+        assert_eq!((read("ab"), read("xy")), (known, x));
+        assert!(x != known && y != x && y != known);
+        assert_eq!(grams.code("xy"), None);
     }
 
     #[test]
-    fn edges_are_directed() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("abcd");
-        let b = g.intern("bcde");
-        g.bump_edge(a, b, 1.0);
-        assert_eq!(g.edge_weight(b, a), 0.0);
-        assert_eq!(g.edge_weight(a, b), 1.0);
-    }
-
-    #[test]
-    fn lookup_by_name_across_graphs() {
-        let mut g1 = NGramGraph::new();
-        let x = g1.intern("xxxx");
-        let y = g1.intern("yyyy");
-        g1.bump_edge(x, y, 2.0);
-
-        let mut g2 = NGramGraph::new();
-        let y2 = g2.intern("yyyy"); // different id order
-        let x2 = g2.intern("xxxx");
-        g2.bump_edge(x2, y2, 5.0);
-
-        assert_eq!(g2.edge_weight_by_name("xxxx", "yyyy"), Some(5.0));
-        assert_eq!(g2.edge_weight_by_name("yyyy", "xxxx"), None);
-        assert_eq!(g2.edge_weight_by_name("zzzz", "xxxx"), None);
-    }
-
-    #[test]
-    fn iter_and_totals() {
-        let mut g = NGramGraph::new();
-        let a = g.intern("aaaa");
-        let b = g.intern("bbbb");
-        g.bump_edge(a, b, 1.5);
-        g.bump_edge(b, a, 0.5);
-        assert_eq!(g.total_weight(), 2.0);
-        assert_eq!(g.iter_edges().count(), 2);
-        assert!(!g.is_empty());
+    fn edges_follow_first_appearance_not_code_order() {
+        // Gram 9 appears first, so its edges come first despite the larger
+        // code, and its edge to itself precedes its edge to gram 1.
+        let g = NGramGraph::from_codes(&[9, 1, 9], 2);
+        let edges = [(9, 9), (9, 1), (1, 9)].map(|(f, t)| (edge_key(f, t), 1.0));
+        assert_eq!(g.edges(), edges);
     }
 }

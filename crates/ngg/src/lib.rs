@@ -9,9 +9,9 @@
 //! Following the paper (and Giannakopoulos et al., WIMS 2012) we use
 //! `Lmin = Lmax = Dwin = 4`.
 //!
-//! * [`graph`] — the interned n-gram graph and its edge store;
+//! * [`graph`] — packed n-gram codes and the document graph's edge vector;
 //! * [`builder`] — document → graph extraction;
-//! * [`merge`] — class-graph construction by averaging document graphs;
+//! * [`merge`] — class graphs: document graphs averaged into a hash table;
 //! * [`similarity`] — the CS / SS / VS / NVS measures of §4.1.2;
 //! * [`features`] — the 8-value per-document feature extraction of the
 //!   classification process in Figure 2, plus the Equation (3) text-rank
@@ -25,12 +25,9 @@ pub mod similarity;
 
 pub use builder::NGramGraphBuilder;
 pub use features::{ngg_feature_names, NggClassGraphs, NggFeatures};
-pub use graph::NGramGraph;
+pub use graph::{GramTable, NGramGraph};
 pub use merge::ClassGraph;
-pub use similarity::{
-    containment_similarity, normalized_value_similarity, size_similarity, value_similarity,
-    GraphSimilarities,
-};
+pub use similarity::GraphSimilarities;
 
 /// The n-gram rank used throughout the paper (`Lmin = Lmax = 4`).
 pub const NGRAM_RANK: usize = 4;

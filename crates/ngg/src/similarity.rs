@@ -13,6 +13,7 @@
 //! graph with a non-empty one yields 0.
 
 use crate::graph::NGramGraph;
+use crate::merge::ClassGraph;
 
 /// All four similarity values between a pair of graphs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,21 +29,14 @@ pub struct GraphSimilarities {
 }
 
 impl GraphSimilarities {
-    /// Computes all four measures between `gi` and `gj`.
-    ///
-    /// Single-pass: `gi`'s gram ids are translated into `gj`'s id space
-    /// once, then every shared-edge probe is two table lookups instead
-    /// of re-hashing both gram names — the standalone
-    /// [`containment_similarity`] / [`value_similarity`] functions would
-    /// walk `gi`'s edges (and hash every gram name) once per measure.
-    /// Results are bit-identical to the standalone functions: the edge
-    /// iteration order, per-edge arithmetic, and summation order are
-    /// the same.
-    pub fn compute(gi: &NGramGraph, gj: &NGramGraph) -> Self {
-        let (min, max) = (
-            gi.edge_count().min(gj.edge_count()),
-            gi.edge_count().max(gj.edge_count()),
-        );
+    /// Computes all four measures between a document graph `gi` and a
+    /// class graph `gj` coded by the same [`crate::GramTable`], in one
+    /// walk over `gi`'s edges, probing `gj` for each. The walk follows
+    /// `gi`'s first-appearance edge order, so `vs_sum` adds the same
+    /// values in the same order whatever the codes and table layout.
+    pub fn compute(gi: &NGramGraph, gj: &ClassGraph) -> Self {
+        let (a, b) = (gi.edge_count(), gj.edge_count());
+        let (min, max) = (a.min(b), a.max(b));
         if max == 0 {
             // Both empty: identical.
             return GraphSimilarities {
@@ -52,37 +46,20 @@ impl GraphSimilarities {
                 nvs: 1.0,
             };
         }
-        if min == 0 {
-            // One empty: nothing shared. `vs` is `-0.0` because the
-            // standalone [`value_similarity`] divides an empty
-            // `Iterator::sum` — whose f64 identity is `-0.0` — by `max`,
-            // and bit-compatibility with it is part of this method's
-            // contract.
-            return GraphSimilarities {
-                cs: 0.0,
-                ss: 0.0,
-                vs: -0.0,
-                nvs: 0.0,
-            };
-        }
-        let translate: Vec<Option<u32>> = (0..gi.node_count())
-            .map(|id| gj.gram_id(gi.gram(id as u32)))
-            .collect();
         let mut shared = 0usize;
-        // `-0.0` is `Iterator::sum`'s f64 identity; starting there keeps
-        // the no-shared-edge result bit-identical to `value_similarity`.
+        // Starting from `-0.0`, the f64 identity of `Iterator::sum`, a
+        // comparison with no shared edge (one side empty, say) reports
+        // `vs = -0.0`, the value the golden digest pins.
         let mut vs_sum = -0.0f64;
-        for (f, t, wi) in gi.iter_edge_ids() {
-            let (Some(f2), Some(t2)) = (translate[f as usize], translate[t as usize]) else {
-                continue;
-            };
-            if let Some(wj) = gj.edge_weight_checked(f2, t2) {
+        for &(key, wi) in gi.edges() {
+            if let Some(wj) = gj.weight(key) {
                 shared += 1;
                 let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
                 vs_sum += if hi == 0.0 { 0.0 } else { lo / hi };
             }
         }
-        let cs = shared as f64 / min as f64;
+        // One side empty: nothing is shared, and CS is 0 / 1.
+        let cs = shared as f64 / min.max(1) as f64;
         let ss = min as f64 / max as f64;
         let vs = vs_sum / max as f64;
         let nvs = if ss == 0.0 { 0.0 } else { vs / ss };
@@ -90,182 +67,71 @@ impl GraphSimilarities {
     }
 }
 
-/// Proportion of `gi`'s edges shared with `gj`, normalized by the smaller
-/// edge count.
-pub fn containment_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    let min = gi.edge_count().min(gj.edge_count());
-    if min == 0 {
-        return if gi.is_empty() && gj.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    let shared = gi
-        .iter_edges()
-        .filter(|(f, t, _)| gj.edge_weight_by_name(f, t).is_some())
-        .count();
-    shared as f64 / min as f64
-}
-
-/// Ratio of the two graphs' edge counts.
-pub fn size_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    let (min, max) = (
-        gi.edge_count().min(gj.edge_count()),
-        gi.edge_count().max(gj.edge_count()),
-    );
-    if max == 0 {
-        return 1.0; // both empty: identical
-    }
-    min as f64 / max as f64
-}
-
-/// Weight-aware overlap: per shared edge, the ratio of the smaller to the
-/// larger weight, summed and normalized by the larger edge count.
-pub fn value_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    let max = gi.edge_count().max(gj.edge_count());
-    if max == 0 {
-        return 1.0; // both empty: identical
-    }
-    let sum: f64 = gi
-        .iter_edges()
-        .filter_map(|(f, t, wi)| {
-            gj.edge_weight_by_name(f, t).map(|wj| {
-                let (lo, hi) = if wi < wj { (wi, wj) } else { (wj, wi) };
-                if hi == 0.0 {
-                    0.0
-                } else {
-                    lo / hi
-                }
-            })
-        })
-        .sum();
-    sum / max as f64
-}
-
-/// `VS / SS` — value similarity with the size penalty removed.
-pub fn normalized_value_similarity(gi: &NGramGraph, gj: &NGramGraph) -> f64 {
-    GraphSimilarities::compute(gi, gj).nvs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::NGramGraphBuilder;
+    use crate::graph::GramTable;
 
-    fn g(text: &str) -> NGramGraph {
-        NGramGraphBuilder::new(1, 1).build(text)
+    /// `[CS, SS, VS, NVS]` of the rank-1, window-1 graph of `a` against the
+    /// class graph of `b` alone (whose weights equal `b`'s document graph).
+    fn sims(a: &str, b: &str) -> [f64; 4] {
+        let builder = NGramGraphBuilder::new(1, 1);
+        let mut grams = GramTable::default();
+        let ga = builder.build(a, &mut grams);
+        let class = ClassGraph::average([builder.build(b, &mut grams)]);
+        let s = GraphSimilarities::compute(&ga, &class);
+        [s.cs, s.ss, s.vs, s.nvs]
     }
 
     #[test]
-    fn identical_graphs_all_ones() {
-        let a = g("abcabc");
-        let s = GraphSimilarities::compute(&a, &a);
-        assert_eq!(s.cs, 1.0);
-        assert_eq!(s.ss, 1.0);
-        assert_eq!(s.vs, 1.0);
-        assert_eq!(s.nvs, 1.0);
+    fn identical_and_both_empty_graphs_all_ones() {
+        assert_eq!(sims("abcabc", "abcabc"), [1.0; 4]);
+        assert_eq!(sims("", ""), [1.0; 4]);
     }
 
     #[test]
     fn disjoint_graphs_all_zero_except_ss() {
-        let a = g("ab");
-        let b = g("cd");
-        let s = GraphSimilarities::compute(&a, &b);
-        assert_eq!(s.cs, 0.0);
-        assert_eq!(s.ss, 1.0); // same sizes
-        assert_eq!(s.vs, 0.0);
-        assert_eq!(s.nvs, 0.0);
+        assert_eq!(sims("ab", "cd"), [0.0, 1.0, 0.0, 0.0]); // same sizes
     }
 
     #[test]
-    fn both_empty_is_identity() {
-        let e = g("");
-        let s = GraphSimilarities::compute(&e, &e);
-        assert_eq!((s.cs, s.ss, s.vs, s.nvs), (1.0, 1.0, 1.0, 1.0));
+    fn one_empty_is_zero_with_negative_zero_vs() {
+        for s in [sims("", "ab"), sims("ab", "")] {
+            assert_eq!(s.map(f64::to_bits), [0.0, 0.0, -0.0, 0.0].map(f64::to_bits));
+        }
     }
 
     #[test]
-    fn one_empty_is_zero() {
-        let e = g("");
-        let a = g("ab");
-        let s = GraphSimilarities::compute(&e, &a);
-        assert_eq!(s.cs, 0.0);
-        assert_eq!(s.ss, 0.0);
-        assert_eq!(s.vs, 0.0);
-        assert_eq!(s.nvs, 0.0);
-    }
-
-    #[test]
-    fn cs_normalizes_by_smaller_graph() {
-        // a: edges {a→b}; b: edges {a→b, b→c, c→d}; shared = 1,
-        // min = 1 ⇒ CS = 1.
-        let a = g("ab");
-        let b = g("abcd");
-        assert_eq!(containment_similarity(&a, &b), 1.0);
-        // Symmetric call: shared counted over b's edges, still 1/min=1.
-        assert_eq!(containment_similarity(&b, &a), 1.0);
-    }
-
-    #[test]
-    fn ss_is_symmetric_ratio() {
-        let a = g("ab"); // 1 edge
-        let b = g("abcd"); // 3 edges
-        assert!((size_similarity(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(size_similarity(&a, &b), size_similarity(&b, &a));
-    }
-
-    #[test]
-    fn vs_penalizes_weight_mismatch() {
-        let a = g("abab"); // a→b weight 2, b→a weight 1
-        let b = g("ab"); // a→b weight 1
-                         // Shared edge a→b: min/max = 1/2. max(|Gi|,|Gj|) = 2.
-        assert!((value_similarity(&a, &b) - 0.25).abs() < 1e-12);
-        // VS is symmetric here because the shared-edge ratio is.
-        assert!((value_similarity(&b, &a) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nvs_removes_size_penalty() {
-        let a = g("abab");
-        let b = g("ab");
-        let s = GraphSimilarities::compute(&a, &b);
-        assert!((s.nvs - s.vs / s.ss).abs() < 1e-12);
-        assert!(s.nvs >= s.vs);
-    }
-
-    #[test]
-    fn single_pass_compute_matches_standalone_measures_bitwise() {
-        let pairs = [
-            (g("pharmacy online store"), g("pharmacy store front")),
-            (g("viagra no prescription"), g("refill your prescription")),
-            (g("abcabcabc"), g("bcabca")),
-            (g(""), g("abcd")),
-            (g(""), g("")),
-        ];
-        for (a, b) in &pairs {
-            for (gi, gj) in [(a, b), (b, a)] {
-                let s = GraphSimilarities::compute(gi, gj);
-                assert_eq!(s.cs.to_bits(), containment_similarity(gi, gj).to_bits());
-                assert_eq!(s.ss.to_bits(), size_similarity(gi, gj).to_bits());
-                assert_eq!(s.vs.to_bits(), value_similarity(gi, gj).to_bits());
-            }
+    fn measures_follow_their_definitions() {
+        // {a→b} vs {a→b, b→c, c→d}: shared 1, min 1 ⇒ CS = 1 and SS = 1/3,
+        // from either side.
+        for (a, b) in [("ab", "abcd"), ("abcd", "ab")] {
+            let [cs, ss, ..] = sims(a, b);
+            assert!(cs == 1.0 && (ss - 1.0 / 3.0).abs() < 1e-12);
+        }
+        // a→b weight 2 vs 1: min/max = 1/2 over max(|Gi|,|Gj|) = 2, from
+        // either side; NVS = VS / SS removes the size penalty.
+        for (a, b) in [("abab", "ab"), ("ab", "abab")] {
+            let [_, ss, vs, nvs] = sims(a, b);
+            assert!((vs - 0.25).abs() < 1e-12);
+            assert!((nvs - vs / ss).abs() < 1e-12 && nvs >= vs);
         }
     }
 
     #[test]
     fn similarities_bounded() {
         let pairs = [
-            (g("pharmacy online"), g("pharmacy store")),
-            (g("viagra no prescription"), g("refill your prescription")),
-            (g("aaaa"), g("aaaaaaaa")),
+            ("pharmacy online", "pharmacy store"),
+            ("viagra no prescription", "refill your prescription"),
+            ("aaaa", "aaaaaaaa"),
         ];
-        for (a, b) in &pairs {
-            let s = GraphSimilarities::compute(a, b);
-            for v in [s.cs, s.ss, s.vs] {
+        for (a, b) in pairs {
+            let [cs, ss, vs, nvs] = sims(a, b);
+            for v in [cs, ss, vs] {
                 assert!((0.0..=1.0).contains(&v), "out of range: {v}");
             }
-            assert!(s.nvs >= 0.0);
+            assert!(nvs >= 0.0);
         }
     }
 }
