@@ -10,7 +10,9 @@ use pharmaverify_corpus::{CorpusConfig, SyntheticWeb};
 use pharmaverify_crawl::{html, CrawlConfig, Crawler, Url};
 use pharmaverify_ml::{Dataset, DecisionTree, Learner, LinearSvm, MultinomialNaiveBayes, Sampling};
 use pharmaverify_net::TrustRankConfig;
-use pharmaverify_ngg::{GramTable, GraphSimilarities, NGramGraphBuilder, NggClassGraphs};
+use pharmaverify_ngg::{
+    GramTable, GraphSimilarities, NGramGraphBuilder, NggClassGraphs, NggCorpus,
+};
 use pharmaverify_text::{preprocess, TfIdfModel};
 
 fn sample_page() -> String {
@@ -77,6 +79,24 @@ fn bench_ngg(c: &mut Criterion) {
         b.iter(|| GraphSimilarities::compute(&doc, graphs.legitimate()))
     });
     c.bench_function("ngg_features", |b| b.iter(|| graphs.features(text)));
+
+    // One document graph against three folds' class graphs, as the
+    // pipeline's NGG features artifact computes each row.
+    let ngg = NggCorpus::new(
+        builder,
+        corpus.summaries.iter().map(String::as_str).collect(),
+    );
+    let folds: Vec<NggClassGraphs> = (0..3)
+        .map(|f| {
+            let train = (0..corpus.len()).filter(|d| d % 3 != f);
+            let (legit, illegit): (Vec<usize>, Vec<usize>) = train.partition(|&d| corpus.labels[d]);
+            ngg.class_graphs(&legit, &illegit, 7 ^ f as u64)
+        })
+        .collect();
+    let folds: Vec<&NggClassGraphs> = folds.iter().collect();
+    c.bench_function("ngg_features_across", |b| {
+        b.iter(|| ngg.features_across(0, &folds))
+    });
 }
 
 fn bench_network(c: &mut Criterion) {

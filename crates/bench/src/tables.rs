@@ -177,10 +177,11 @@ pub fn table6(grid: &GridResults) -> Table {
     grid.table("Table 6: TF-IDF - Area Under ROC Curve", |s| s.auc)
 }
 
-/// Runs the full N-Gram-Graph grid (Tables 7–10). The per-fold class
-/// graphs and document features are computed once per subsample size and
-/// shared by all four classifiers — the expensive part is the graph work,
-/// not the learning. Subsample sizes dispatch across the executor.
+/// Runs the full N-Gram-Graph grid (Tables 7–10). Every document's
+/// features against every fold's class graphs are one pipeline artifact
+/// per subsample size, shared by all four classifiers — the expensive part
+/// is the graph work, not the learning. Subsample sizes dispatch across
+/// the executor.
 pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     let corpus = &ctx.corpus1;
     let cv = ctx.cv;
@@ -191,32 +192,18 @@ pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
     // columns[size][row] — each size is one executor job.
     let columns: Vec<Vec<EvalSummary>> = exec.run(sizes.len(), |s| {
         let (size, _) = sizes[s];
-        let texts = pipe.ngg_texts(size, cv.seed);
-        // Per fold: features for every document against this fold's class
-        // graphs. Folds run in parallel.
-        let texts_ref = &texts;
-        let split_ref = &split;
-        let fold_datasets: Vec<(&[usize], Dataset)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..split_ref.k())
-                .map(|f| {
-                    scope.spawn(move || {
-                        let test_idx = split_ref.test(f);
-                        let train_idx = split_ref.train(f);
-                        let graphs = pipe.ngg_class_graphs(size, cv.seed, f, train_idx);
-                        let mut all = Dataset::new(8);
-                        for (text, &label) in texts_ref.iter().zip(&corpus.labels) {
-                            let v = SparseVector::from_dense(&graphs.features(text).to_vec());
-                            all.push(v, label);
-                        }
-                        (test_idx, all)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
+        let features = pipe.ngg_features(size, cv.seed, cv.k);
+        // Per fold: every document's features against this fold's class
+        // graphs, with the test indices.
+        let fold_datasets: Vec<(&[usize], Dataset)> = (0..split.k())
+            .map(|f| {
+                let mut all = Dataset::new(8);
+                for (row, &label) in features.iter().zip(&corpus.labels) {
+                    all.push(SparseVector::from_dense(&row[f].to_vec()), label);
+                }
+                (split.test(f), all)
+            })
+            .collect();
 
         NGG_ROWS
             .iter()
@@ -226,7 +213,7 @@ pub fn ngg_grid(ctx: &ReproContext, exec: Executor) -> GridResults {
                     .iter()
                     .enumerate()
                     .map(|(f, (test_idx, all))| {
-                        let model = learner.fit(&all.subset(split_ref.train(f)));
+                        let model = learner.fit(&all.subset(split.train(f)));
                         let labels: Vec<bool> = test_idx.iter().map(|&i| all.y(i)).collect();
                         let scores: Vec<f64> =
                             test_idx.iter().map(|&i| model.score(all.x(i))).collect();
@@ -757,7 +744,8 @@ pub fn ablation_representations(ctx: &ReproContext) -> Table {
     let cv = ctx.cv;
     let pipe = ctx.pipe1();
     let split = pipe.fold_split(cv.k, cv.seed);
-    let texts = pipe.ngg_texts(Some(1000), cv.seed);
+    let ngg_corpus = pipe.ngg_corpus(Some(1000), cv.seed);
+    let texts = ngg_corpus.texts();
 
     let mut t = Table::new(
         "Ablation: text representations under SVM (1000-term subsamples, cf. [13])",

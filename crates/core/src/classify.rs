@@ -266,8 +266,9 @@ pub fn evaluate_ngg(
     evaluate_ngg_in(Pipeline::new(&store, corpus), learner, subsample, cv)
 }
 
-/// [`evaluate_ngg`] against a shared artifact store: the joined document
-/// texts, fold split, and per-fold class graphs come from the pipeline.
+/// [`evaluate_ngg`] against a shared artifact store: the fold split and
+/// every document's features against every fold's class graphs come from
+/// the pipeline; only the per-fold learner fit is left.
 pub fn evaluate_ngg_in(
     pipe: Pipeline<'_>,
     learner: &dyn Learner,
@@ -276,43 +277,30 @@ pub fn evaluate_ngg_in(
 ) -> CvOutcome {
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
-    let texts = pipe.ngg_texts(subsample, cv.seed);
+    let features = pipe.ngg_features(subsample, cv.seed, cv.k);
     let split = pipe.fold_split(cv.k, cv.seed);
-    let (split_ref, texts_ref) = (&split, &texts);
-    let outcomes: Vec<FoldOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..split_ref.k())
-            .map(|f| {
-                scope.spawn(move || {
-                    let test_idx = split_ref.test(f);
-                    let train_idx = split_ref.train(f);
-                    let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
-                    let featurize = |i: usize| -> SparseVector {
-                        SparseVector::from_dense(&class_graphs.features(&texts_ref[i]).to_vec())
-                    };
-                    let mut train = Dataset::new(8);
-                    for &i in train_idx {
-                        train.push(featurize(i), corpus.labels[i]);
-                    }
-                    let model = learner.fit(&train);
-                    let mut labels = Vec::with_capacity(test_idx.len());
-                    let mut scores = Vec::with_capacity(test_idx.len());
-                    let mut predictions = Vec::with_capacity(test_idx.len());
-                    for &i in test_idx {
-                        let x = featurize(i);
-                        labels.push(corpus.labels[i]);
-                        scores.push(model.score(&x));
-                        predictions.push(model.predict(&x));
-                    }
-                    fold_outcome(labels, scores, predictions)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    CvOutcome { folds: outcomes }
+    let folds = split
+        .iter()
+        .map(|(f, train_idx, test_idx)| {
+            let featurize = |i: usize| SparseVector::from_dense(&features[i][f].to_vec());
+            let mut train = Dataset::new(8);
+            for &i in train_idx {
+                train.push(featurize(i), corpus.labels[i]);
+            }
+            let model = learner.fit(&train);
+            let mut labels = Vec::with_capacity(test_idx.len());
+            let mut scores = Vec::with_capacity(test_idx.len());
+            let mut predictions = Vec::with_capacity(test_idx.len());
+            for &i in test_idx {
+                let x = featurize(i);
+                labels.push(corpus.labels[i]);
+                scores.push(model.score(&x));
+                predictions.push(model.predict(&x));
+            }
+            fold_outcome(labels, scores, predictions)
+        })
+        .collect();
+    CvOutcome { folds }
 }
 
 /// The link graph of Algorithm 1 plus the node id of each pharmacy.
@@ -356,10 +344,10 @@ pub fn build_web_graph(corpus: &ExtractedCorpus) -> NetworkArtifacts {
     }
 }
 
-/// The block dispatcher the rank kernels run on: the configured executor
-/// width (`PHARMAVERIFY_JOBS`), falling back to serial when the variable
-/// is malformed — the scores are byte-identical either way, so a bad
-/// value degrades throughput, never correctness.
+/// The executor the rank kernels and the NGG features artifact run on:
+/// the configured width (`PHARMAVERIFY_JOBS`), falling back to serial
+/// when the variable is malformed — the results are byte-identical either
+/// way, so a bad value degrades throughput, never correctness.
 pub(crate) fn rank_executor() -> Executor {
     Executor::from_env().unwrap_or_else(|_| Executor::serial())
 }
@@ -478,7 +466,7 @@ pub fn evaluate_ensemble_in(
         ("NB/ngg", TextLearnerKind::Nb, true),
     ];
     let docs = pipe.subsampled_docs(subsample, cv.seed);
-    let texts = pipe.ngg_texts(subsample, cv.seed);
+    let ngg = pipe.ngg_corpus(subsample, cv.seed);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
 
@@ -515,7 +503,8 @@ pub fn evaluate_ensemble_in(
         // NGG view.
         let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, &sub_idx);
         let ngg_vec = |i: usize| -> SparseVector {
-            SparseVector::from_dense(&class_graphs.features(&texts[i]).to_vec())
+            let features = ngg.features_across(i, &[&*class_graphs]);
+            SparseVector::from_dense(&features[0].to_vec())
         };
         let mut ngg_train = Dataset::new(8);
         for &i in &sub_idx {

@@ -394,7 +394,7 @@ pub fn evaluate_combined(
 }
 
 /// [`evaluate_combined`] against a shared artifact store: every view it
-/// concatenates (subsample draw, per-fold TF-IDF model, class graphs,
+/// concatenates (subsample draw, per-fold TF-IDF model, NGG features,
 /// link graph, TrustRank vectors) is the same artifact the single-view
 /// pipelines request, so the combined run costs only the final SVM fit.
 pub fn evaluate_combined_in(
@@ -405,7 +405,7 @@ pub fn evaluate_combined_in(
     let corpus = pipe.corpus();
     assert!(!corpus.is_empty(), "corpus must not be empty");
     let docs = pipe.subsampled_docs(subsample, cv.seed);
-    let texts = pipe.ngg_texts(subsample, cv.seed);
+    let ngg = pipe.ngg_features(subsample, cv.seed, cv.k);
     let trust_config = TrustRankConfig::default();
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut outcomes = Vec::with_capacity(split.k());
@@ -414,8 +414,6 @@ pub fn evaluate_combined_in(
         // Text view.
         let tfidf = pipe.fitted_tfidf(subsample, cv.seed, Some(f), train_idx);
         let text_dim = tfidf.vocabulary().len().max(1) as u32;
-        // NGG view.
-        let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
         // Network view.
         let good_seeds: Vec<usize> = train_idx
             .iter()
@@ -428,7 +426,7 @@ pub fn evaluate_combined_in(
             let mut pairs: Vec<(u32, f64)> = tfidf.transform(&docs[i]).iter().collect();
             // NGG similarities and trust, scaled ×10 so the SVM margin
             // treats them on a par with tf·idf weights.
-            for (k, v) in class_graphs.features(&texts[i]).to_vec().iter().enumerate() {
+            for (k, v) in ngg[i][f].to_vec().iter().enumerate() {
                 pairs.push((text_dim + k as u32, v * 10.0));
             }
             pairs.push((text_dim + 8, trust[i]));

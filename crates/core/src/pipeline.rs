@@ -16,9 +16,10 @@
 //! * [`Pipeline`] — a cheap handle binding a store to one
 //!   [`ExtractedCorpus`] (identified by a content fingerprint, so one
 //!   store can serve both datasets of the drift study). Its methods are
-//!   the artifact accessors: subsampled documents, N-Gram-Graph texts,
-//!   fold splits, fitted TF-IDF models, per-fold class graphs, the
-//!   Algorithm 1 web graph, and TrustRank score vectors.
+//!   the artifact accessors: subsampled documents, the N-Gram-Graph
+//!   corpus (texts and their gram table), fold splits, fitted TF-IDF
+//!   models, per-fold class graphs, per-document NGG features against
+//!   every fold, the Algorithm 1 web graph, and TrustRank score vectors.
 //! * [`Executor`] — a scoped-thread work-stealing executor (the
 //!   `std::thread::scope` pattern the fold loops already used, made
 //!   reusable) that runs `n` indexed jobs on up to `PHARMAVERIFY_JOBS`
@@ -32,12 +33,12 @@
 //! changes *when* a job runs, never *what* it computes, and reorders
 //! results back to submission order before anyone observes them.
 
-use crate::classify::{build_web_graph, pharmacy_trust_scores, NetworkArtifacts};
+use crate::classify::{build_web_graph, pharmacy_trust_scores, rank_executor, NetworkArtifacts};
 use crate::classify::{subsampled_documents, CvConfig};
 use crate::features::ExtractedCorpus;
 use pharmaverify_ml::FoldSplit;
 use pharmaverify_net::TrustRankConfig;
-use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs};
+use pharmaverify_ngg::{NGramGraphBuilder, NggClassGraphs, NggCorpus, NggFeatures};
 use pharmaverify_obs::Registry;
 use pharmaverify_text::TfIdfModel;
 use std::collections::HashMap;
@@ -51,14 +52,18 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 pub enum Stage {
     /// Per-document term subsamples (`Vec<Vec<String>>`).
     SubsampledDocs,
-    /// Subsampled documents re-joined into N-Gram-Graph input strings.
-    NggTexts,
+    /// Subsampled documents re-joined into N-Gram-Graph input strings,
+    /// with the one gram table that codes them all.
+    NggCorpus,
     /// A stratified fold split with precomputed training complements.
     FoldSplit,
     /// A TF-IDF model fitted on one training-index set.
     FittedTfIdf,
     /// Per-fold N-Gram-Graph class graphs.
     NggClassGraphs,
+    /// Every document's N-Gram-Graph features against every fold's class
+    /// graphs.
+    NggFeatures,
     /// The Algorithm 1 outbound-link graph.
     WebGraph,
     /// Per-pharmacy TrustRank scores for one seed set.
@@ -67,12 +72,13 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in display order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 8] = [
         Stage::SubsampledDocs,
-        Stage::NggTexts,
+        Stage::NggCorpus,
         Stage::FoldSplit,
         Stage::FittedTfIdf,
         Stage::NggClassGraphs,
+        Stage::NggFeatures,
         Stage::WebGraph,
         Stage::TrustScores,
     ];
@@ -81,10 +87,11 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::SubsampledDocs => "subsampled-docs",
-            Stage::NggTexts => "ngg-texts",
+            Stage::NggCorpus => "ngg-corpus",
             Stage::FoldSplit => "fold-split",
             Stage::FittedTfIdf => "fitted-tfidf",
             Stage::NggClassGraphs => "ngg-class-graphs",
+            Stage::NggFeatures => "ngg-features",
             Stage::WebGraph => "web-graph",
             Stage::TrustScores => "trust-scores",
         }
@@ -93,12 +100,13 @@ impl Stage {
     fn index(self) -> usize {
         match self {
             Stage::SubsampledDocs => 0,
-            Stage::NggTexts => 1,
+            Stage::NggCorpus => 1,
             Stage::FoldSplit => 2,
             Stage::FittedTfIdf => 3,
             Stage::NggClassGraphs => 4,
-            Stage::WebGraph => 5,
-            Stage::TrustScores => 6,
+            Stage::NggFeatures => 5,
+            Stage::WebGraph => 6,
+            Stage::TrustScores => 7,
         }
     }
 }
@@ -127,6 +135,7 @@ pub struct ArtifactKey {
     /// ([`indices_fingerprint`]), 0 when the whole corpus is used. This
     /// is what keeps e.g. the ensemble's sub-training TF-IDF model from
     /// colliding with the standard fold-training model at the same seed.
+    /// An artifact over all folds of a split holds the fold count `k`.
     pub variant: u64,
 }
 
@@ -307,13 +316,14 @@ pub struct CacheCounters {
 /// experiment run.
 pub struct ArtifactStore {
     docs: Memo<Vec<Vec<String>>>,
-    texts: Memo<Vec<String>>,
+    ngg_corpus: Memo<NggCorpus>,
     folds: Memo<FoldSplit>,
     tfidf: Memo<TfIdfModel>,
     ngg_graphs: Memo<NggClassGraphs>,
+    ngg_features: Memo<Vec<Vec<NggFeatures>>>,
     web: Memo<NetworkArtifacts>,
     trust: Memo<Vec<f64>>,
-    stats: [StageStats; 7],
+    stats: [StageStats; 8],
     obs: Arc<Registry>,
 }
 
@@ -329,10 +339,11 @@ impl ArtifactStore {
     pub fn with_obs(obs: Arc<Registry>) -> ArtifactStore {
         ArtifactStore {
             docs: Memo::new(),
-            texts: Memo::new(),
+            ngg_corpus: Memo::new(),
             folds: Memo::new(),
             tfidf: Memo::new(),
             ngg_graphs: Memo::new(),
+            ngg_features: Memo::new(),
             web: Memo::new(),
             trust: Memo::new(),
             stats: Default::default(),
@@ -370,10 +381,11 @@ impl ArtifactStore {
     /// Number of distinct artifacts currently cached.
     pub fn len(&self) -> usize {
         self.docs.len()
-            + self.texts.len()
+            + self.ngg_corpus.len()
             + self.folds.len()
             + self.tfidf.len()
             + self.ngg_graphs.len()
+            + self.ngg_features.len()
             + self.web.len()
             + self.trust.len()
     }
@@ -472,17 +484,21 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Subsampled documents re-joined with spaces — the N-Gram-Graph
-    /// input representation (stage: `ngg-texts`). Derived from the
-    /// `subsampled-docs` artifact so both views share one subsample draw.
-    pub fn ngg_texts(&self, subsample: Option<usize>, seed: u64) -> Arc<Vec<String>> {
-        let stage = Stage::NggTexts;
+    /// input representation — with the gram table that codes them all
+    /// (stage: `ngg-corpus`). Derived from the `subsampled-docs` artifact
+    /// so both views share one subsample draw.
+    pub fn ngg_corpus(&self, subsample: Option<usize>, seed: u64) -> Arc<NggCorpus> {
+        let stage = Stage::NggCorpus;
         let key = self.key(stage, seed, NO_FOLD, encode_subsample(subsample), 0);
         let docs = self.subsampled_docs(subsample, seed);
-        self.store.texts.get_or_compute(
+        self.store.ngg_corpus.get_or_compute(
             key,
             &self.store.stats[stage.index()],
             &self.store.obs,
-            || docs.iter().map(|tokens| tokens.join(" ")).collect(),
+            || {
+                let texts = docs.iter().map(|tokens| tokens.join(" ")).collect();
+                NggCorpus::new(NGramGraphBuilder::default(), texts)
+            },
         )
     }
 
@@ -537,8 +553,9 @@ impl<'a> Pipeline<'a> {
 
     /// The per-fold N-Gram-Graph class graphs (stage: `ngg-class-graphs`):
     /// each class graph merges a seeded random half of that class's
-    /// training documents. The build seed is `base_seed ^ fold`, the
-    /// discipline every existing call site uses.
+    /// training documents, coded by the `ngg-corpus` gram table. The build
+    /// seed is `base_seed ^ fold`, the discipline every existing call site
+    /// uses.
     pub fn ngg_class_graphs(
         &self,
         subsample: Option<usize>,
@@ -554,28 +571,48 @@ impl<'a> Pipeline<'a> {
             encode_subsample(subsample),
             indices_fingerprint(train_idx),
         );
-        let texts = self.ngg_texts(subsample, base_seed);
+        let ngg = self.ngg_corpus(subsample, base_seed);
         self.store.ngg_graphs.get_or_compute(
             key,
             &self.store.stats[stage.index()],
             &self.store.obs,
             || {
-                let legit: Vec<&str> = train_idx
+                let (legit, illegit): (Vec<usize>, Vec<usize>) = train_idx
                     .iter()
-                    .filter(|&&i| self.corpus.labels[i])
-                    .map(|&i| texts[i].as_str())
-                    .collect();
-                let illegit: Vec<&str> = train_idx
-                    .iter()
-                    .filter(|&&i| !self.corpus.labels[i])
-                    .map(|&i| texts[i].as_str())
-                    .collect();
-                NggClassGraphs::build(
-                    NGramGraphBuilder::default(),
-                    &legit,
-                    &illegit,
-                    base_seed ^ (fold as u64),
-                )
+                    .copied()
+                    .partition(|&i| self.corpus.labels[i]);
+                ngg.class_graphs(&legit, &illegit, base_seed ^ (fold as u64))
+            },
+        )
+    }
+
+    /// Every document's N-Gram-Graph features against the class graphs of
+    /// every fold of the `(k, seed)` split: `features[i][f]` describes
+    /// document `i` against fold `f` (stage: `ngg-features`). The class
+    /// graphs come from [`Pipeline::ngg_class_graphs`], so other requests
+    /// share them; each document's graph is built once, compared with all
+    /// `k` folds, and dropped. Both steps run on the configured executor.
+    pub fn ngg_features(
+        &self,
+        subsample: Option<usize>,
+        seed: u64,
+        k: usize,
+    ) -> Arc<Vec<Vec<NggFeatures>>> {
+        let stage = Stage::NggFeatures;
+        let key = self.key(stage, seed, NO_FOLD, encode_subsample(subsample), k as u64);
+        self.store.ngg_features.get_or_compute(
+            key,
+            &self.store.stats[stage.index()],
+            &self.store.obs,
+            || {
+                let ngg = self.ngg_corpus(subsample, seed);
+                let split = self.fold_split(k, seed);
+                let exec = rank_executor();
+                let graphs = exec.run(split.k(), |f| {
+                    self.ngg_class_graphs(subsample, seed, f, split.train(f))
+                });
+                let graphs: Vec<&NggClassGraphs> = graphs.iter().map(Arc::as_ref).collect();
+                exec.run(ngg.texts().len(), |i| ngg.features_across(i, &graphs))
             },
         )
     }
@@ -775,13 +812,13 @@ mod tests {
     }
 
     #[test]
-    fn ngg_texts_artifact_matches_fresh_recomputation() {
+    fn ngg_corpus_artifact_matches_fresh_recomputation() {
         let c = corpus();
         let store = ArtifactStore::new();
         let pipe = Pipeline::new(&store, &c);
-        let cached = pipe.ngg_texts(Some(250), 3);
+        let cached = pipe.ngg_corpus(Some(250), 3);
         let fresh = crate::classify::ngg_document_texts(&c, Some(250), 3);
-        assert_eq!(*cached, fresh);
+        assert_eq!(cached.texts(), fresh);
     }
 
     #[test]
@@ -823,21 +860,46 @@ mod tests {
         let train_idx = split.train(1);
         let cached = pipe.ngg_class_graphs(Some(100), 5, 1, train_idx);
         let texts = crate::classify::ngg_document_texts(&c, Some(100), 5);
-        let legit: Vec<&str> = train_idx
-            .iter()
-            .filter(|&&i| c.labels[i])
-            .map(|&i| texts[i].as_str())
-            .collect();
-        let illegit: Vec<&str> = train_idx
-            .iter()
-            .filter(|&&i| !c.labels[i])
-            .map(|&i| texts[i].as_str())
-            .collect();
-        let fresh = NggClassGraphs::build(NGramGraphBuilder::default(), &legit, &illegit, 5 ^ 1);
+        let class = |label: bool| -> Vec<&str> {
+            let of_class = train_idx.iter().filter(|&&i| c.labels[i] == label);
+            of_class.map(|&i| texts[i].as_str()).collect()
+        };
+        let fresh = NggClassGraphs::build(
+            NGramGraphBuilder::default(),
+            &class(true),
+            &class(false),
+            5 ^ 1,
+        );
         assert_eq!(
             cached.features(&texts[0]).to_vec(),
             fresh.features(&texts[0]).to_vec()
         );
+    }
+
+    #[test]
+    fn ngg_features_artifact_matches_per_fold_class_graphs_bitwise() {
+        let c = corpus();
+        let store = ArtifactStore::new();
+        let pipe = Pipeline::new(&store, &c);
+        let features = pipe.ngg_features(None, 8, 3);
+        let texts = crate::classify::ngg_document_texts(&c, None, 8);
+        let split = pipe.fold_split(3, 8);
+        assert_eq!(features.len(), c.len());
+        for f in 0..split.k() {
+            let graphs = pipe.ngg_class_graphs(None, 8, f, split.train(f));
+            for (row, text) in features.iter().zip(&texts) {
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(bits(row[f].to_vec()), bits(graphs.features(text).to_vec()));
+            }
+        }
+        // The class graphs were built once, for the artifact; a repeat
+        // request and another fold count are a hit and a new key.
+        let graphs = counters_for(&store, Stage::NggClassGraphs);
+        assert_eq!((graphs.hits, graphs.misses), (3, 3));
+        assert!(Arc::ptr_eq(&features, &pipe.ngg_features(None, 8, 3)));
+        assert_eq!(pipe.ngg_features(None, 8, 2)[0].len(), 2);
+        let stats = counters_for(&store, Stage::NggFeatures);
+        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub fn evaluate_ranking(
 }
 
 /// [`evaluate_ranking`] against a shared artifact store. The per-fold
-/// TF-IDF models, class graphs, and TrustRank vectors are the same
+/// TF-IDF models, NGG features, and TrustRank vectors are the same
 /// artifacts the classification pipelines request, so ranking a corpus
 /// after classifying it recomputes nothing.
 pub fn evaluate_ranking_in(
@@ -139,6 +139,9 @@ fn evaluate_ranking_impl(
     let split = pipe.fold_split(cv.k, cv.seed);
     let mut text_rank = vec![0.0; corpus.len()];
     let mut network_rank = vec![0.0; corpus.len()];
+    // Equation 3 reads each fold's column of one features artifact.
+    let ngg = matches!(method, RankingMethod::NggEquation3)
+        .then(|| pipe.ngg_features(subsample, cv.seed, cv.k));
 
     for (f, train_idx, test_idx) in split.iter() {
         // networkRank: trust seeded by the training-fold legitimate sites.
@@ -198,10 +201,10 @@ fn evaluate_ranking_impl(
                 }
             }
             RankingMethod::NggEquation3 => {
-                let texts = pipe.ngg_texts(subsample, cv.seed);
-                let class_graphs = pipe.ngg_class_graphs(subsample, cv.seed, f, train_idx);
-                for &i in test_idx {
-                    text_rank[i] = class_graphs.features(&texts[i]).text_rank();
+                if let Some(features) = &ngg {
+                    for &i in test_idx {
+                        text_rank[i] = features[i][f].text_rank();
+                    }
                 }
             }
         }

@@ -70,23 +70,41 @@ impl NGramGraphBuilder {
 
     /// Builds the n-gram graph of `text`, coding grams with `code`. Rank-4
     /// grams of ASCII text pack straight from the bytes, as `code` would.
-    pub(crate) fn build_with(&self, text: &str, mut code: impl FnMut(&str) -> u32) -> NGramGraph {
-        let codes: Vec<u32> = if self.rank == 4 && text.is_ascii() {
+    pub(crate) fn build_with(&self, text: &str, code: impl FnMut(&str) -> u32) -> NGramGraph {
+        let codes: Vec<u32> = if self.packs(text) {
             text.as_bytes()
                 .windows(4)
                 .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
                 .collect()
         } else {
-            // Byte offsets of char boundaries slice n-grams without
-            // allocating per window.
-            let mut boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
-            boundaries.push(text.len());
-            boundaries
-                .windows(self.rank + 1)
-                .map(|w| code(&text[w[0]..w[self.rank]]))
-                .collect()
+            self.grams(text).map(code).collect()
         };
         NGramGraph::from_codes(&codes, self.window)
+    }
+
+    /// Interns in `grams` every gram of `text` that does not pack; a no-op
+    /// for rank-4 ASCII text.
+    pub(crate) fn intern(&self, text: &str, grams: &mut GramTable) {
+        if !self.packs(text) {
+            for gram in self.grams(text) {
+                grams.intern(gram);
+            }
+        }
+    }
+
+    /// True when every gram of `text` packs: rank 4 over ASCII bytes.
+    fn packs(&self, text: &str) -> bool {
+        self.rank == 4 && text.is_ascii()
+    }
+
+    /// The grams of `text` in order, sliced on char boundaries so no
+    /// window allocates.
+    fn grams<'t>(&self, text: &'t str) -> impl Iterator<Item = &'t str> {
+        let mut boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+        boundaries.push(text.len());
+        let rank = self.rank;
+        (0..boundaries.len().saturating_sub(rank))
+            .map(move |i| &text[boundaries[i]..boundaries[i + rank]])
     }
 }
 

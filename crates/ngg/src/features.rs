@@ -5,6 +5,11 @@
 //! half of that class's training documents (§6.3.1). Every document is then
 //! described by its four similarities against each class graph — an
 //! 8-dimensional feature vector fed to the downstream classifiers.
+//!
+//! Under cross-validation every fold has its own class graphs. An
+//! [`NggCorpus`] codes all of a corpus's texts with one gram table, so a
+//! document's graph is built once and compared with every fold's class
+//! graphs.
 
 use crate::builder::NGramGraphBuilder;
 use crate::graph::{GramTable, NGramGraph};
@@ -13,14 +18,27 @@ use crate::similarity::GraphSimilarities;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Arc;
+
+/// A set of document texts with the one gram table that codes them all.
+/// Every gram of every text that does not pack is interned when the
+/// corpus is made, so the class graphs built from any subset of the texts
+/// and the graph of any text share codes: one document graph can be
+/// compared with every fold's class graphs.
+#[derive(Debug, Clone)]
+pub struct NggCorpus<T = String> {
+    builder: NGramGraphBuilder,
+    texts: Vec<T>,
+    grams: Arc<GramTable>,
+}
 
 /// The two class graphs of the binary pharmacy-verification task, with
-/// the gram table that codes them. The table is written only while the
-/// class graphs are built; documents are coded against it read-only.
+/// the gram table that codes them, shared with the [`NggCorpus`] they
+/// were built from.
 #[derive(Debug, Clone)]
 pub struct NggClassGraphs {
     builder: NGramGraphBuilder,
-    grams: GramTable,
+    grams: Arc<GramTable>,
     legitimate: ClassGraph,
     illegitimate: ClassGraph,
 }
@@ -79,21 +97,100 @@ impl NggFeatures {
     }
 }
 
+impl<T: AsRef<str>> NggCorpus<T> {
+    /// The corpus of `texts`, interning every gram that does not pack.
+    pub fn new(builder: NGramGraphBuilder, texts: Vec<T>) -> Self {
+        let mut grams = GramTable::default();
+        for text in &texts {
+            builder.intern(text.as_ref(), &mut grams);
+        }
+        NggCorpus {
+            builder,
+            texts,
+            grams: Arc::new(grams),
+        }
+    }
+
+    /// The texts, in document order.
+    pub fn texts(&self) -> &[T] {
+        &self.texts
+    }
+
+    /// Builds class graphs from the documents at the given indices,
+    /// merging a random half of each class (at least one document),
+    /// selected with `seed` — the protocol of §6.3.1.
+    pub fn class_graphs(
+        &self,
+        legitimate: &[usize],
+        illegitimate: &[usize],
+        seed: u64,
+    ) -> NggClassGraphs {
+        let _span = pharmaverify_obs::global().span("ngg/class-graphs/build");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let legitimate = sample_half(legitimate, &mut rng);
+        let illegitimate = sample_half(illegitimate, &mut rng);
+        self.merged(&legitimate, &illegitimate)
+    }
+
+    /// Class graphs merging *all* the documents at the given indices.
+    fn merged(&self, legitimate: &[usize], illegitimate: &[usize]) -> NggClassGraphs {
+        let class =
+            |docs: &[usize]| ClassGraph::average(docs.iter().map(|&doc| self.document_graph(doc)));
+        NggClassGraphs {
+            builder: self.builder,
+            grams: Arc::clone(&self.grams),
+            legitimate: class(legitimate),
+            illegitimate: class(illegitimate),
+        }
+    }
+
+    fn document_graph(&self, doc: usize) -> NGramGraph {
+        self.builder
+            .build_with(self.texts[doc].as_ref(), self.grams.reader())
+    }
+
+    /// The 8 similarity features of document `doc` against each of
+    /// `graphs`, in order, from one build of its document graph.
+    ///
+    /// # Panics
+    /// Panics if any of `graphs` was built from another corpus: its codes
+    /// would not be this corpus's codes.
+    pub fn features_across(&self, doc: usize, graphs: &[&NggClassGraphs]) -> Vec<NggFeatures> {
+        let graph = self.document_graph(doc);
+        graphs
+            .iter()
+            .map(|class| {
+                assert!(
+                    Arc::ptr_eq(&self.grams, &class.grams),
+                    "class graphs coded by another gram table"
+                );
+                class.compare(&graph)
+            })
+            .collect()
+    }
+}
+
+/// A seeded random half of `docs` (at least one), in shuffled order.
+fn sample_half(docs: &[usize], rng: &mut SmallRng) -> Vec<usize> {
+    let mut indices: Vec<usize> = (0..docs.len()).collect();
+    indices.shuffle(rng);
+    let take = (docs.len() / 2).max(1).min(docs.len());
+    indices[..take].iter().map(|&i| docs[i]).collect()
+}
+
 impl NggClassGraphs {
     /// Builds class graphs from training texts, merging a random half of
     /// each class (at least one document), selected with `seed` — the
-    /// protocol of §6.3.1.
+    /// protocol of §6.3.1 ([`NggCorpus::class_graphs`] over these texts).
     pub fn build(
         builder: NGramGraphBuilder,
         legitimate_texts: &[&str],
         illegitimate_texts: &[&str],
         seed: u64,
     ) -> Self {
-        let _span = pharmaverify_obs::global().span("ngg/class-graphs/build");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let legitimate = Self::sample_half(legitimate_texts, &mut rng);
-        let illegitimate = Self::sample_half(illegitimate_texts, &mut rng);
-        Self::build_full(builder, &legitimate, &illegitimate)
+        let (corpus, legitimate, illegitimate) =
+            Self::corpus(builder, legitimate_texts, illegitimate_texts);
+        corpus.class_graphs(&legitimate, &illegitimate, seed)
     }
 
     /// Builds class graphs from *all* the given texts (no sampling) —
@@ -103,25 +200,21 @@ impl NggClassGraphs {
         legitimate_texts: &[&str],
         illegitimate_texts: &[&str],
     ) -> Self {
-        let mut grams = GramTable::default();
-        let mut class = |texts: &[&str]| {
-            ClassGraph::average(texts.iter().map(|t| builder.build(t, &mut grams)))
-        };
-        let (legitimate, illegitimate) = (class(legitimate_texts), class(illegitimate_texts));
-        NggClassGraphs {
-            builder,
-            grams,
-            legitimate,
-            illegitimate,
-        }
+        let (corpus, legitimate, illegitimate) =
+            Self::corpus(builder, legitimate_texts, illegitimate_texts);
+        corpus.merged(&legitimate, &illegitimate)
     }
 
-    /// A seeded random half of `texts` (at least one), in shuffled order.
-    fn sample_half<'t>(texts: &[&'t str], rng: &mut SmallRng) -> Vec<&'t str> {
-        let mut indices: Vec<usize> = (0..texts.len()).collect();
-        indices.shuffle(rng);
-        let take = (texts.len() / 2).max(1).min(texts.len());
-        indices[..take].iter().map(|&i| texts[i]).collect()
+    /// The corpus of both classes' texts, with each class's indices.
+    fn corpus<'t>(
+        builder: NGramGraphBuilder,
+        legitimate: &[&'t str],
+        illegitimate: &[&'t str],
+    ) -> (NggCorpus<&'t str>, Vec<usize>, Vec<usize>) {
+        let split = legitimate.len();
+        let corpus = NggCorpus::new(builder, [legitimate, illegitimate].concat());
+        let illegitimate = (split..corpus.texts.len()).collect();
+        (corpus, (0..split).collect(), illegitimate)
     }
 
     /// The merged legitimate-class graph.
@@ -134,18 +227,23 @@ impl NggClassGraphs {
         &self.illegitimate
     }
 
-    /// The graph of one document text, coded against the class graphs'
-    /// gram table without changing it.
+    /// The graph of a text from outside the corpus the class graphs were
+    /// built from, coded against their gram table without changing it.
     pub fn document_graph(&self, text: &str) -> NGramGraph {
         self.builder.build_with(text, self.grams.reader())
     }
 
-    /// Extracts the 8 similarity features for one document text.
+    /// Extracts the 8 similarity features for one document text from
+    /// outside the corpus (for a corpus document, see
+    /// [`NggCorpus::features_across`]).
     pub fn features(&self, text: &str) -> NggFeatures {
-        let doc = self.document_graph(text);
+        self.compare(&self.document_graph(text))
+    }
+
+    fn compare(&self, doc: &NGramGraph) -> NggFeatures {
         NggFeatures {
-            legitimate: GraphSimilarities::compute(&doc, &self.legitimate),
-            illegitimate: GraphSimilarities::compute(&doc, &self.illegitimate),
+            legitimate: GraphSimilarities::compute(doc, &self.legitimate),
+            illegitimate: GraphSimilarities::compute(doc, &self.illegitimate),
         }
     }
 }

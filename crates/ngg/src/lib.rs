@@ -24,7 +24,7 @@ pub mod merge;
 pub mod similarity;
 
 pub use builder::NGramGraphBuilder;
-pub use features::{ngg_feature_names, NggClassGraphs, NggFeatures};
+pub use features::{ngg_feature_names, NggClassGraphs, NggCorpus, NggFeatures};
 pub use graph::{GramTable, NGramGraph};
 pub use merge::ClassGraph;
 pub use similarity::GraphSimilarities;

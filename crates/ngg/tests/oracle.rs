@@ -2,8 +2,11 @@
 //! reference: the `Box<str>` interner and `BTreeMap` edge store the
 //! packed representation replaced, with its build, merge and similarity.
 
-use pharmaverify_ngg::{GramTable, NGramGraphBuilder, NggClassGraphs};
+use pharmaverify_ngg::{GramTable, NGramGraphBuilder, NggClassGraphs, NggCorpus, NggFeatures};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// Grams interned by first appearance; edges keyed by gram id.
@@ -93,6 +96,25 @@ impl RefGraph {
     }
 }
 
+/// The reference's 8 features of `query` against two class graphs, then
+/// its Equation (3) `textRank`, as bits.
+fn reference_bits(query: &str, rank: usize, window: usize, l: &RefGraph, i: &RefGraph) -> Vec<u64> {
+    let doc = RefGraph::build(query, rank, window);
+    let (l, i) = (doc.similarities(l), doc.similarities(i));
+    let text_rank = (0..4).fold(0.0, |acc, k| acc + l[k] + (1.0 - i[k]));
+    l.iter()
+        .chain(&i)
+        .chain([&text_rank])
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// The 8 features then `textRank`, as bits.
+fn bits(features: NggFeatures) -> Vec<u64> {
+    let values = features.to_vec().into_iter().chain([features.text_rank()]);
+    values.map(f64::to_bits).collect()
+}
+
 /// Asserts that every query's 8 features and Equation (3) `textRank`
 /// equal the reference's bit for bit, class graphs merged from all texts.
 fn same_bits(rank: usize, window: usize, legit: &[&str], illegit: &[&str], queries: &[&str]) {
@@ -100,15 +122,31 @@ fn same_bits(rank: usize, window: usize, legit: &[&str], illegit: &[&str], queri
     let class_l = RefGraph::class(legit, rank, window);
     let class_i = RefGraph::class(illegit, rank, window);
     for query in queries {
-        let doc = RefGraph::build(query, rank, window);
-        let (l, i) = (doc.similarities(&class_l), doc.similarities(&class_i));
-        let rank = (0..4).fold(0.0, |acc, k| acc + l[k] + (1.0 - i[k]));
-        let expected = l.iter().chain(&i).chain([&rank]).map(|v| v.to_bits());
-        let features = packed.features(query);
-        let actual = features.to_vec().into_iter().chain([features.text_rank()]);
-        let actual: Vec<u64> = actual.map(f64::to_bits).collect();
-        assert_eq!(actual, expected.collect::<Vec<_>>(), "query {query:?}");
+        let expected = reference_bits(query, rank, window, &class_l, &class_i);
+        assert_eq!(bits(packed.features(query)), expected, "query {query:?}");
     }
+}
+
+/// The seeded half of each class that `NggCorpus::class_graphs` merges
+/// (§6.3.1), as the reference's class graphs.
+fn reference_classes(
+    texts: &[String],
+    (legit, illegit): (&[usize], &[usize]),
+    seed: u64,
+    (rank, window): (usize, usize),
+) -> (RefGraph, RefGraph) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut class = |docs: &[usize]| {
+        let mut order: Vec<usize> = (0..docs.len()).collect();
+        order.shuffle(&mut rng);
+        let take = (docs.len() / 2).max(1).min(docs.len());
+        let half: Vec<&str> = order[..take]
+            .iter()
+            .map(|&j| texts[docs[j]].as_str())
+            .collect();
+        RefGraph::class(&half, rank, window)
+    };
+    (class(legit), class(illegit))
 }
 
 /// Mixed-alphabet texts, half of them ASCII so rank 4 also packs.
@@ -128,6 +166,36 @@ proptest! {
         let (legit, illegit): (Vec<&str>, Vec<&str>) = (class(true).collect(), class(false).collect());
         let queries: Vec<&str> = docs.iter().map(|d| &d.0).chain(&fresh).map(|s| s.as_str()).collect();
         same_bits(rank, window, &legit, &illegit, &queries);
+    }
+
+    /// One corpus, one gram table, k folds' class graphs over random
+    /// splits: each document's one graph, compared with every fold.
+    #[test]
+    fn features_across_folds_match_reference_per_fold(
+        rank in 1usize..6,
+        window in 1usize..5,
+        texts in prop::collection::vec(text(), 1..8),
+        folds in prop::collection::vec((prop::collection::vec(0u8..3, 8..9), any::<u64>()), 1..5),
+    ) {
+        let corpus = NggCorpus::new(NGramGraphBuilder::new(rank, window), texts.clone());
+        let mut graphs = Vec::new();
+        let mut references = Vec::new();
+        for (roles, seed) in &folds {
+            // Each document is left out of this fold's class graphs (0),
+            // legitimate (1) or illegitimate (2).
+            let class = |role| (0..texts.len()).filter(|&d| roles[d] == role).collect::<Vec<_>>();
+            let (legit, illegit) = (class(1), class(2));
+            graphs.push(corpus.class_graphs(&legit, &illegit, *seed));
+            references.push(reference_classes(&texts, (&legit, &illegit), *seed, (rank, window)));
+        }
+        let graphs: Vec<&NggClassGraphs> = graphs.iter().collect();
+        for (doc, text) in texts.iter().enumerate() {
+            let across = corpus.features_across(doc, &graphs);
+            prop_assert_eq!(across.len(), folds.len());
+            for (features, (l, i)) in across.into_iter().zip(&references) {
+                prop_assert_eq!(bits(features), reference_bits(text, rank, window, l, i));
+            }
+        }
     }
 }
 
@@ -151,4 +219,16 @@ fn non_ascii_four_byte_grams_never_take_packed_codes() {
     assert!(quads.iter().all(|quad| grams.intern(quad) >> 31 == 0));
     let queries = ["ééé", "abé", "\u{7f}\u{7f}éé"];
     same_bits(2, 2, &["éééé ab"], &["abab éé"], &queries);
+}
+
+#[test]
+#[should_panic(expected = "another gram table")]
+fn features_across_rejects_class_graphs_of_another_corpus() {
+    let texts = vec!["abcdé abcd", "dcba ébcd"];
+    let (one, other) = (
+        NggCorpus::new(NGramGraphBuilder::default(), texts.clone()),
+        NggCorpus::new(NGramGraphBuilder::default(), texts),
+    );
+    let foreign = other.class_graphs(&[0], &[1], 7);
+    one.features_across(0, &[&foreign]);
 }
