@@ -37,11 +37,33 @@ pub fn figure3() -> Table {
 mod tests {
     use super::*;
 
+    /// The rendered Figure 3 rows: the report prints exactly these.
+    const FIGURE3_ROWS: [[&str; 5]; 7] = [
+        ["site0.example", "good", "yes", "1.000", "0.183"],
+        ["site1.example", "good", "yes", "1.000", "0.179"],
+        ["site2.example", "good", "", "0.000", "0.230"],
+        ["site3.example", "good", "", "0.000", "0.194"],
+        ["site4.example", "bad", "", "0.000", "0.083"],
+        ["site5.example", "bad", "", "0.000", "0.071"],
+        ["site6.example", "bad", "", "0.000", "0.059"],
+    ];
+
+    /// `to_bits` of the demo's converged TrustRank scores, which any
+    /// representation of the graph must reproduce bit for bit.
+    const FIGURE3_CONVERGED_BITS: [u64; 7] = [
+        0x3fc7761b17a6a82e,
+        0x3fc6e3da40976a59,
+        0x3fcd79b9b44941e7,
+        0x3fc8e0235a9c1948,
+        0x3fb53d19760d6bcf,
+        0x3fb232b27a3709fa,
+        0x3fae511e82e95da4,
+    ];
+
     #[test]
-    fn figure3_has_seven_nodes() {
-        let t = figure3();
-        assert_eq!(t.rows.len(), 7);
-        // Seeds marked, good nodes end with trust above the bad chain.
-        assert_eq!(t.rows.iter().filter(|r| r[2] == "yes").count(), 2);
+    fn figure3_matches_pinned_rows_and_bits() {
+        assert_eq!(figure3().rows, FIGURE3_ROWS.map(|r| r.map(String::from)));
+        let converged: Vec<u64> = trustrank_demo().3.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(converged, FIGURE3_CONVERGED_BITS);
     }
 }

@@ -6,10 +6,7 @@
 //! keeps the 12/88 class ratio in every fold, which matters with only 167
 //! legitimate examples.
 
-use crate::dataset::Dataset;
 use crate::metrics::{ConfidenceInterval, EvalSummary};
-use crate::sampling::Sampling;
-use crate::Learner;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -162,80 +159,9 @@ impl CvOutcome {
     }
 }
 
-/// Cross-validation driver for precomputed feature sets.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossValidation {
-    /// Number of folds (paper: 3).
-    pub k: usize,
-    /// Fold-assignment seed.
-    pub seed: u64,
-    /// Resampling applied to each training split (never to test data).
-    pub sampling: Sampling,
-}
-
-impl Default for CrossValidation {
-    fn default() -> Self {
-        CrossValidation {
-            k: 3,
-            seed: 0xf01d,
-            sampling: Sampling::None,
-        }
-    }
-}
-
-impl CrossValidation {
-    /// Runs cross-validation of `learner` over `data`, training folds in
-    /// parallel on scoped threads.
-    pub fn run(&self, data: &Dataset, learner: &dyn Learner) -> CvOutcome {
-        let split = FoldSplit::stratified(data.labels(), self.k, self.seed);
-        let split_ref = &split;
-        let sampling = self.sampling;
-        let seed = self.seed;
-        let outcomes: Vec<FoldOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..split_ref.k())
-                .map(|f| {
-                    scope.spawn(move || {
-                        let obs = pharmaverify_obs::global();
-                        let test_idx = split_ref.test(f);
-                        let train = sampling.apply(&data.subset(split_ref.train(f)), seed);
-                        let model = {
-                            // lint:allow(obs-name): learner names are a closed compile-time set of well-formed segments.
-                            let _fit = obs.span(&format!("ml/fit/{}", learner.name()));
-                            learner.fit(&train)
-                        };
-                        // lint:allow(obs-name): learner names are a closed compile-time set of well-formed segments.
-                        let _predict = obs.span(&format!("ml/predict/{}", learner.name()));
-                        let labels: Vec<bool> = test_idx.iter().map(|&i| data.y(i)).collect();
-                        let scores: Vec<f64> =
-                            test_idx.iter().map(|&i| model.score(data.x(i))).collect();
-                        let predictions: Vec<bool> =
-                            test_idx.iter().map(|&i| model.predict(data.x(i))).collect();
-                        FoldOutcome {
-                            summary: EvalSummary::compute(&labels, &predictions, &scores),
-                            scores,
-                            labels,
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        CvOutcome { folds: outcomes }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nbm::MultinomialNaiveBayes;
-    use pharmaverify_text::SparseVector;
-
-    fn v(pairs: &[(u32, f64)]) -> SparseVector {
-        SparseVector::from_pairs(pairs.to_vec())
-    }
 
     fn labels(n_pos: usize, n_neg: usize) -> Vec<bool> {
         (0..n_pos + n_neg).map(|i| i < n_pos).collect()
@@ -292,62 +218,29 @@ mod tests {
         }
     }
 
-    fn separable_dataset() -> Dataset {
-        let mut d = Dataset::new(2);
-        for i in 0..15 {
-            d.push(v(&[(0, 2.0 + (i % 5) as f64 * 0.1)]), true);
-            d.push(v(&[(1, 2.0 + (i % 5) as f64 * 0.1)]), false);
-            d.push(v(&[(1, 3.0 + (i % 3) as f64 * 0.1)]), false);
-        }
-        d
-    }
-
     #[test]
-    fn cv_on_separable_data_is_accurate() {
-        let data = separable_dataset();
-        let outcome = CrossValidation::default().run(&data, &MultinomialNaiveBayes::default());
-        let agg = outcome.aggregate();
-        assert!(agg.accuracy > 0.9, "accuracy = {}", agg.accuracy);
-        assert!(agg.auc > 0.9, "auc = {}", agg.auc);
-        assert_eq!(outcome.folds.len(), 3);
-    }
-
-    #[test]
-    fn pooled_covers_every_instance_once() {
-        let data = separable_dataset();
-        let outcome = CrossValidation::default().run(&data, &MultinomialNaiveBayes::default());
-        let (scores, labels) = outcome.pooled();
-        assert_eq!(scores.len(), data.len());
-        assert_eq!(labels.iter().filter(|&&l| l).count(), data.count_positive());
-    }
-
-    #[test]
-    fn cv_is_deterministic() {
-        let data = separable_dataset();
-        let cv = CrossValidation::default();
-        let a = cv.run(&data, &MultinomialNaiveBayes::default());
-        let b = cv.run(&data, &MultinomialNaiveBayes::default());
-        assert_eq!(a.pooled().0, b.pooled().0);
-    }
-
-    #[test]
-    fn sampling_applies_only_to_training() {
-        let data = separable_dataset();
-        let cv = CrossValidation {
-            sampling: Sampling::Undersample,
-            ..CrossValidation::default()
+    fn outcome_aggregates_fold_means() {
+        let fold = |accuracy: f64| FoldOutcome {
+            summary: EvalSummary {
+                accuracy,
+                auc: 0.5,
+                ..EvalSummary::default()
+            },
+            scores: vec![accuracy],
+            labels: vec![accuracy > 0.85],
         };
-        let outcome = cv.run(&data, &MultinomialNaiveBayes::default());
-        // Test instances are untouched: pooled size equals dataset size.
-        assert_eq!(outcome.pooled().0.len(), data.len());
-    }
-
-    #[test]
-    fn accuracy_interval_exists() {
-        let data = separable_dataset();
-        let outcome = CrossValidation::default().run(&data, &MultinomialNaiveBayes::default());
+        let outcome = CvOutcome {
+            folds: vec![fold(0.8), fold(0.9), fold(1.0)],
+        };
+        let agg = outcome.aggregate();
+        assert!((agg.accuracy - 0.9).abs() < 1e-12, "{}", agg.accuracy);
+        assert!((agg.auc - 0.5).abs() < 1e-12);
         let ci = outcome.accuracy_interval().unwrap();
-        assert!(ci.mean > 0.8);
-        assert!(ci.half_width >= 0.0);
+        assert!((ci.mean - 0.9).abs() < 1e-12);
+        assert!(ci.half_width > 0.0);
+        assert_eq!(
+            outcome.pooled(),
+            (vec![0.8, 0.9, 1.0], vec![false, true, true])
+        );
     }
 }

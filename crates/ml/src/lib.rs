@@ -23,8 +23,8 @@
 //! * [`metrics`] — confusion-matrix measures, pairwise orderedness (§6.2),
 //!   and confidence intervals;
 //! * [`roc`] — ROC curves and AUC;
-//! * [`crossval`] — seeded stratified k-fold cross-validation, run on
-//!   scoped threads;
+//! * [`crossval`] — seeded stratified k-fold splits and the per-fold
+//!   outcome types the evaluation pipelines fill;
 //! * [`scale`] — per-feature standardization.
 //!
 //! The *positive* class throughout is **legitimate**, matching §6.2.
@@ -46,7 +46,7 @@ pub mod svm;
 pub mod tree;
 
 pub use calibration::PlattScaler;
-pub use crossval::{stratified_folds, CrossValidation, CvOutcome, FoldOutcome, FoldSplit};
+pub use crossval::{stratified_folds, CvOutcome, FoldOutcome, FoldSplit};
 pub use dataset::{Dataset, DatasetError};
 pub use ensemble::{greedy_auc_selection, EnsembleSelection, EnsembleSelectionConfig};
 pub use feature_select::{information_gain, project, top_k_features};

@@ -1,15 +1,18 @@
-//! Frozen compressed-sparse-row (CSR) web graph and block-based rank
-//! kernels.
+//! The web link graph of Algorithm 1, frozen into compressed sparse rows
+//! (CSR), and the block-based TrustRank / PageRank / Anti-TrustRank
+//! kernels that rank it.
 //!
-//! The adjacency representation of [`crate::WebGraph`] is convenient to
-//! mutate but pointer-chasing to traverse: every node owns a separate
-//! edge `Vec`, and TrustRank spends its time hopping between them. At
-//! web scale (10⁵–10⁶ domains) the propagation kernels dominate the
-//! pipeline, so this module splits graph *construction* from graph
-//! *traversal*:
+//! `GRAPH-CREATION` in the paper: every pharmacy contributes a node, and
+//! for every outbound link the `endpoint()` (second-level domain) of the
+//! target is added as a node with a directed edge. Four node categories
+//! arise (§4.2): known-legitimate, known-illegitimate, unknown
+//! pharmacies, and non-pharmacy external domains — the first three are
+//! *pharmacy* nodes here, distinguishable via [`CsrGraph::is_pharmacy`].
 //!
-//! * [`GraphBuilder`] keeps the mutable interning API (`add_pharmacy`,
-//!   `add_external`, `add_link`) but records raw edge triples without
+//! Construction and traversal are split:
+//!
+//! * [`GraphBuilder`] is the mutable interning API (`add_pharmacy`,
+//!   `add_external`, `add_link`); it records raw edge triples without
 //!   any per-insert duplicate scan;
 //! * [`GraphBuilder::freeze`] sorts and merges once — counting-sort by
 //!   source, stable per-row sort by target, adjacent-duplicate merge —
@@ -18,25 +21,27 @@
 //!   (`t_offsets`/`t_sources`/`t_weights`) so `anti_trust_rank` never
 //!   re-interns a single domain name.
 //!
-//! # Bit-identity with the adjacency kernels
+//! # Bit-identity with a push kernel
 //!
-//! The legacy kernels *push*: for `u` in ascending id order, node `u`
+//! The textbook kernel *pushes*: for `u` in ascending id order, node `u`
 //! scatters `mass·w/out(u)` into each target. Each `(u, v)` pair carries
 //! one merged weight, so target `v` accumulates its contributions in
 //! ascending-source order. The CSR kernels *gather*: element `v` sums
 //! over its in-edges, which the counting-sort transpose stores in
 //! ascending-source order — the same additions in the same order, so the
-//! score vectors are bit-identical (see the proptests in
-//! `tests/proptest_net.rs`). Two caveats make this exact:
+//! score vectors are bit-identical to a push. `tests/proptest_net.rs`
+//! pins this against a dense push-order reference (an n×n weight matrix
+//! filled by `+=` in insertion order, pushed over ascending source then
+//! ascending target). Two details make it exact:
 //!
 //! * duplicate links are merged by summing in insertion order (stable
-//!   sort + left-to-right adjacent merge), matching the incremental
-//!   `*w += weight` of the adjacency path bit for bit;
-//! * per-node out-weights are summed in sorted-target order rather than
-//!   insertion order. Link weights in this system are integer-valued
-//!   link *counts* (Algorithm 1 multiplicities), whose f64 sums are
-//!   exact in any order; graphs with non-integer weights may differ in
-//!   the last ulp of the normalizer.
+//!   sort + left-to-right adjacent merge), matching an incremental
+//!   `*w += weight`;
+//! * per-node out-weights are summed in sorted-target order. Link
+//!   weights in this system are integer-valued link *counts* (Algorithm 1
+//!   multiplicities), whose f64 sums are exact in any order; graphs with
+//!   non-integer weights may differ from an insertion-order sum in the
+//!   last ulp of the normalizer.
 //!
 //! # Determinism under parallel dispatch
 //!
@@ -46,9 +51,72 @@
 //! determinism audit enforces this end-to-end (serial vs 4-worker runs
 //! of the web tier).
 
-use crate::graph::NodeId;
-use crate::trustrank::TrustRankConfig;
 use std::collections::HashMap;
+
+/// Dense node identifier.
+pub type NodeId = u32;
+
+/// TrustRank configuration (TrustRank: Gyöngyi, Garcia-Molina, Pedersen;
+/// VLDB 2004). The iteration is biased PageRank,
+///
+/// ```text
+/// t ← α · T · t + (1 − α) · d
+/// ```
+///
+/// where `T` is the column-normalized link matrix and `d` the normalized
+/// seed distribution. Following the paper (§4.2 and §6.3.2), the seed is
+/// the set of known-legitimate pharmacies of the training folds.
+#[derive(Debug, Clone, Copy)]
+pub struct TrustRankConfig {
+    /// Decay / damping factor α (the original paper uses 0.85).
+    pub alpha: f64,
+    /// Number of propagation iterations (the original paper uses 20).
+    pub iterations: usize,
+}
+
+impl Default for TrustRankConfig {
+    fn default() -> Self {
+        TrustRankConfig {
+            alpha: 0.85,
+            iterations: 20,
+        }
+    }
+}
+
+/// The Figure 3 illustration: a small network of "good" (white) and "bad"
+/// (black) nodes. Returns `(graph, good_seeds, initial, converged)` where
+/// `initial` is the seed state (1 for seeds, 0 elsewhere) and `converged`
+/// the TrustRank scores — the two panels of the figure.
+pub fn trustrank_demo() -> (CsrGraph, Vec<NodeId>, Vec<f64>, Vec<f64>) {
+    let mut b = GraphBuilder::new();
+    // 4 good pages (0–3) forming a well-connected cluster, 3 bad pages
+    // (4–6) in a chain that receives a single link from a deceived good
+    // page — the "approximate isolation of good pages" premise.
+    let ids: Vec<NodeId> = (0..7)
+        .map(|i| b.add_pharmacy(&format!("site{i}.example")))
+        .collect();
+    // 3 → 4 is the one good→bad link.
+    for (from, to) in [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 0),
+        (0, 2),
+        (3, 4),
+        (4, 5),
+        (5, 6),
+    ] {
+        b.add_link(ids[from], &format!("site{to}.example"), 1.0);
+    }
+    let g = b.freeze();
+    let seeds = vec![ids[0], ids[1]];
+    let mut initial = vec![0.0; g.node_count()];
+    for &s in &seeds {
+        initial[s as usize] = 1.0;
+    }
+    let converged = g.trust_rank(&seeds, &TrustRankConfig::default());
+    (g, seeds, initial, converged)
+}
 
 /// Nodes per dispatch block: small enough to spread a web-scale graph
 /// over any realistic worker count, large enough that a paper-scale
@@ -74,9 +142,8 @@ impl BlockDispatch for SerialDispatch {
     }
 }
 
-/// Mutable graph under construction: the interning API of
-/// [`crate::WebGraph`], recording raw edges for a one-shot
-/// [`GraphBuilder::freeze`].
+/// Mutable graph under construction: the interning API, recording raw
+/// edges for a one-shot [`GraphBuilder::freeze`].
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     names: Vec<String>,
@@ -107,7 +174,8 @@ impl GraphBuilder {
         id
     }
 
-    /// Adds (or upgrades) a pharmacy node for `domain`.
+    /// Adds (or upgrades) a pharmacy node for `domain` (Algorithm 1,
+    /// line 4).
     pub fn add_pharmacy(&mut self, domain: &str) -> NodeId {
         self.intern(domain, true)
     }
@@ -119,9 +187,9 @@ impl GraphBuilder {
     }
 
     /// Records a directed link `from → to_domain` with multiplicity
-    /// `weight`. The target is created as a non-pharmacy node if unseen.
-    /// Unlike [`crate::WebGraph::add_link`] this is O(1): parallel links
-    /// are merged at freeze time, not probed per insert.
+    /// `weight` (Algorithm 1, lines 6–8). The target is created as a
+    /// non-pharmacy node if unseen. O(1): parallel links are merged at
+    /// freeze time, not probed per insert.
     ///
     /// # Panics
     /// Panics if `from` is not a valid node id or `weight` is not
@@ -176,8 +244,7 @@ impl GraphBuilder {
 
         // Per-row stable sort by target + adjacent-duplicate merge. The
         // stable sort keeps equal targets in insertion order, so the
-        // left-to-right `+=` reproduces the adjacency path's incremental
-        // merging bit for bit.
+        // left-to-right `+=` reproduces an incremental merge bit for bit.
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets: Vec<NodeId> = Vec::with_capacity(m);
         let mut weights: Vec<f64> = Vec::with_capacity(m);
@@ -377,8 +444,10 @@ impl CsrGraph {
     }
 
     /// TrustRank over the frozen graph with block-parallel gather,
-    /// bit-identical to [`crate::trust_rank`] on the equivalent
-    /// adjacency graph and to itself at any worker count.
+    /// bit-identical to a push kernel over the same links and to itself
+    /// at any worker count. Returns a per-node trust score summing to
+    /// ≤ 1 (dangling mass is re-teleported to the seeds); an empty seed
+    /// set yields all-zero trust.
     ///
     /// # Panics
     /// Panics if a seed id is out of range, `alpha` is outside `(0, 1)`,
@@ -416,8 +485,9 @@ impl CsrGraph {
         self.pagerank_with(config, &SerialDispatch)
     }
 
-    /// PageRank with block-parallel gather, bit-identical to
-    /// [`crate::pagerank`] on the equivalent adjacency graph.
+    /// PageRank with block-parallel gather: TrustRank with a uniform
+    /// teleport, kept for ablations. Scores sum to ≈ 1 (dangling mass is
+    /// re-teleported uniformly).
     ///
     /// # Panics
     /// Panics if `alpha` is outside `(0, 1)` or `iterations` is 0.
@@ -454,10 +524,12 @@ impl CsrGraph {
         self.anti_trust_rank_with(bad_seeds, config, &SerialDispatch)
     }
 
-    /// Anti-TrustRank with block-parallel gather: TrustRank over the
-    /// transposed graph, using the precomputed transpose arrays — no
-    /// string re-interning, unlike [`crate::transpose`]. Bit-identical
-    /// to [`crate::anti_trust_rank`] on the equivalent adjacency graph.
+    /// Anti-TrustRank (Krishnan & Raj, AIRWeb 2006) with block-parallel
+    /// gather: TrustRank over the transposed graph, using the
+    /// precomputed transpose arrays — no string re-interning. A page
+    /// that links to a bad page is itself suspicious, so distrust flows
+    /// backward from the bad seeds into every member of an affiliate
+    /// ring.
     ///
     /// The roles swap: propagation walks the transpose (rows =
     /// `t_offsets`), so the *gather* side is the forward CSR, whose
@@ -496,8 +568,8 @@ impl CsrGraph {
     }
 }
 
-/// Validates the shared kernel configuration with the same contract (and
-/// messages) as the adjacency kernels.
+/// Validates the shared kernel configuration; the overlay kernels
+/// assert the same contract with the same messages.
 fn validate(config: &TrustRankConfig) {
     assert!(
         config.alpha > 0.0 && config.alpha < 1.0,
@@ -552,7 +624,7 @@ fn propagate(
     let mut t = d.to_vec();
     for _ in 0..config.iterations {
         // Dangling mass accumulates serially in ascending node order —
-        // the exact summation order of the push kernels.
+        // the exact summation order of a push kernel.
         let mut dangling = 0.0;
         for (u, &mass) in t.iter().enumerate() {
             if g.skip_zero_mass && mass == 0.0 {
@@ -595,21 +667,23 @@ fn propagate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{anti_trust_rank, pagerank, trust_rank, trustrank_demo, WebGraph};
 
-    /// Builds the same graph twice: legacy adjacency and CSR builder.
-    fn both(edges: &[(usize, usize, f64)], n: usize) -> (WebGraph, CsrGraph) {
-        let mut legacy = WebGraph::new();
+    /// Pharmacies `n0.com..n{n-1}.com` linked by `edges`.
+    fn graph(edges: &[(usize, usize, f64)], n: usize) -> CsrGraph {
         let mut builder = GraphBuilder::new();
         for i in 0..n {
-            legacy.add_pharmacy(&format!("n{i}.com"));
             builder.add_pharmacy(&format!("n{i}.com"));
         }
         for &(a, b, w) in edges {
-            legacy.add_link(a as NodeId, &format!("n{b}.com"), w);
             builder.add_link(a as NodeId, &format!("n{b}.com"), w);
         }
-        (legacy, builder.freeze())
+        builder.freeze()
+    }
+
+    /// The chain `n0 → n1 → … → n{n-1}`.
+    fn chain(n: usize) -> CsrGraph {
+        let edges: Vec<(usize, usize, f64)> = (1..n).map(|i| (i - 1, i, 1.0)).collect();
+        graph(&edges, n)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -635,15 +709,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_interning_matches_webgraph() {
-        let (legacy, csr) = both(&[(0, 1, 2.0), (1, 2, 1.0), (0, 2, 1.0)], 3);
-        assert_eq!(legacy.node_count(), csr.node_count());
-        assert_eq!(legacy.edge_count(), csr.edge_count());
-        for id in legacy.nodes() {
-            assert_eq!(legacy.name(id), csr.name(id));
-            assert_eq!(legacy.is_pharmacy(id), csr.is_pharmacy(id));
-            assert_eq!(legacy.node(legacy.name(id)), csr.node(csr.name(id)));
+    fn builder_interns_in_first_appearance_order() {
+        let mut b = GraphBuilder::new();
+        let a = b.add_pharmacy("a.com");
+        b.add_link(a, "fda.gov", 1.0);
+        let c = b.add_pharmacy("c.com");
+        b.add_link(c, "a.com", 1.0);
+        let g = b.freeze();
+        let names: Vec<&str> = g.nodes().map(|id| g.name(id)).collect();
+        assert_eq!(names, ["a.com", "fda.gov", "c.com"]);
+        for id in g.nodes() {
+            assert_eq!(g.node(g.name(id)), Some(id));
         }
+        assert!(!g.is_pharmacy(1), "link targets are external");
+        assert!(g.is_pharmacy(a), "linking to a pharmacy keeps its flag");
+        assert_eq!(g.edge_count(), 2);
     }
 
     #[test]
@@ -658,7 +738,7 @@ mod tests {
 
     #[test]
     fn transpose_arrays_list_sources_ascending() {
-        let (_, csr) = both(&[(2, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0)], 3);
+        let csr = graph(&[(2, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0)], 3);
         // Node 0 has in-edges from 1 and 2; transpose row must be
         // ascending by source.
         let row = &csr.t_sources[csr.t_offsets[0]..csr.t_offsets[1]];
@@ -667,43 +747,8 @@ mod tests {
     }
 
     #[test]
-    fn trustrank_matches_adjacency_bit_for_bit() {
-        let (legacy, csr) = both(
-            &[
-                (0, 1, 1.0),
-                (1, 2, 2.0),
-                (2, 0, 1.0),
-                (0, 2, 3.0),
-                (3, 0, 1.0),
-                (1, 2, 1.0), // duplicate, merges
-            ],
-            5, // node 4 is an isolated dangler
-        );
-        let cfg = TrustRankConfig::default();
-        let a = trust_rank(&legacy, &[0, 3], &cfg);
-        let b = csr.trust_rank(&[0, 3], &cfg);
-        assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
-    fn pagerank_matches_adjacency_bit_for_bit() {
-        let (legacy, csr) = both(&[(0, 1, 1.0), (1, 2, 2.0), (2, 0, 1.0), (3, 1, 4.0)], 5);
-        let cfg = TrustRankConfig::default();
-        assert_eq!(bits(&pagerank(&legacy, &cfg)), bits(&csr.pagerank(&cfg)));
-    }
-
-    #[test]
-    fn anti_trustrank_matches_adjacency_bit_for_bit() {
-        let (legacy, csr) = both(&[(0, 1, 1.0), (2, 1, 2.0), (1, 3, 1.0), (3, 0, 2.0)], 5);
-        let cfg = TrustRankConfig::default();
-        let a = anti_trust_rank(&legacy, &[1], &cfg);
-        let b = csr.anti_trust_rank(&[1], &cfg);
-        assert_eq!(bits(&a), bits(&b));
-    }
-
-    #[test]
     fn transposed_trust_is_anti_trust_bit_for_bit() {
-        let (_, csr) = both(
+        let csr = graph(
             &[
                 (0, 1, 1.0),
                 (2, 1, 2.0),
@@ -735,25 +780,81 @@ mod tests {
     }
 
     #[test]
-    fn demo_graph_matches_adjacency() {
-        let (legacy, seeds, _, converged) = trustrank_demo();
-        let mut b = GraphBuilder::new();
-        for id in legacy.nodes() {
-            b.add_pharmacy(legacy.name(id));
+    fn trust_decays_along_a_chain_and_sums_to_at_most_one() {
+        let cfg = TrustRankConfig::default();
+        let t = chain(5).trust_rank(&[0], &cfg);
+        assert!(t[0] > 0.0);
+        for w in t.windows(2) {
+            assert!(w[0] > w[1], "trust must decay: {t:?}");
         }
-        for u in legacy.nodes() {
-            for &(v, w) in legacy.out_edges(u) {
-                b.add_link(u, legacy.name(v), w);
-            }
+        let sum: f64 = chain(6).trust_rank(&[0, 1], &cfg).iter().sum();
+        assert!(sum <= 1.0 + 1e-9 && sum > 0.5, "sum = {sum}");
+    }
+
+    #[test]
+    fn unreachable_nodes_get_zero() {
+        // n3 is an island beside the chain n0 → n1 → n2.
+        let t = graph(&[(0, 1, 1.0), (1, 2, 1.0)], 4).trust_rank(&[0], &TrustRankConfig::default());
+        assert_eq!(t[3], 0.0);
+    }
+
+    #[test]
+    fn dangling_mass_returns_to_seeds() {
+        // 0 → 1, and 1 dangles. Seed trust must not evaporate.
+        let t = chain(2).trust_rank(&[0], &TrustRankConfig::default());
+        assert!(t[0] > 0.2);
+        assert!(t[1] > 0.0);
+    }
+
+    #[test]
+    fn weighted_links_split_trust_proportionally() {
+        let t = graph(&[(0, 1, 3.0), (0, 2, 1.0)], 3).trust_rank(&[0], &TrustRankConfig::default());
+        assert!(t[1] > t[2]);
+        assert!((t[1] / t[2] - 3.0).abs() < 0.2);
+    }
+
+    #[test]
+    fn distrust_flows_back_to_linkers() {
+        // 0 → 1 → 2; distrust seeded at 2 reaches 1, and 0 gets less.
+        let d = chain(3).anti_trust_rank(&[2], &TrustRankConfig::default());
+        assert!(d[2] > d[1] && d[1] > d[0] && d[0] > 0.0, "{d:?}");
+        // An affiliate ring: n1..n3 link to the hub n0, n4 links to n5.
+        // Distrust seeded at the hub reaches every member, not n4.
+        let ring = graph(&[(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (4, 5, 1.0)], 6);
+        let d = ring.anti_trust_rank(&[0], &TrustRankConfig::default());
+        assert!(d[1..4].iter().all(|&x| x > 0.0) && d[4] == 0.0, "{d:?}");
+    }
+
+    #[test]
+    fn pagerank_favors_hubs_and_stays_uniform_without_links() {
+        let cfg = TrustRankConfig::default();
+        // Everyone links to n0 (the affiliate hub pattern of §6.3.2).
+        let r = graph(&[(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (4, 0, 1.0)], 5).pagerank(&cfg);
+        assert!(r[1..].iter().all(|&x| x < r[0]), "{r:?}");
+        for x in graph(&[], 3).pagerank(&cfg) {
+            assert!((x - 1.0 / 3.0).abs() < 1e-9);
         }
-        let csr = b.freeze();
-        let got = csr.trust_rank(&seeds, &TrustRankConfig::default());
-        assert_eq!(bits(&converged), bits(&got));
+    }
+
+    #[test]
+    fn demo_seeds_outrank_the_bad_chain() {
+        let (_g, seeds, initial, converged) = trustrank_demo();
+        // Initial state: exactly the seeds at 1.
+        assert_eq!(initial.iter().filter(|&&x| x == 1.0).count(), seeds.len());
+        // Converged: good cluster (0–3) all positive, and the directly
+        // seeded nodes dominate the bad chain (4–6).
+        for (good, &value) in converged.iter().enumerate().take(4) {
+            assert!(value > 0.0, "good node {good} has no trust");
+        }
+        let min_seed = converged[0].min(converged[1]);
+        for (bad, &value) in converged.iter().enumerate().skip(4) {
+            assert!(value < min_seed, "bad node {bad}: {value} !< {min_seed}");
+        }
     }
 
     #[test]
     fn block_boundaries_do_not_change_bits() {
-        let (_, csr) = both(
+        let csr = graph(
             &[
                 (0, 1, 1.0),
                 (1, 2, 1.0),
@@ -786,7 +887,7 @@ mod tests {
         let g = GraphBuilder::new().freeze();
         assert!(g.trust_rank(&[], &TrustRankConfig::default()).is_empty());
         assert!(g.pagerank(&TrustRankConfig::default()).is_empty());
-        let (_, csr) = both(&[(0, 1, 1.0)], 2);
+        let csr = graph(&[(0, 1, 1.0)], 2);
         let t = csr.trust_rank(&[], &TrustRankConfig::default());
         assert!(t.iter().all(|&x| x == 0.0));
     }
@@ -794,14 +895,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn bad_seed_panics() {
-        let (_, csr) = both(&[(0, 1, 1.0)], 2);
+        let csr = graph(&[(0, 1, 1.0)], 2);
         csr.trust_rank(&[99], &TrustRankConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "alpha")]
     fn bad_alpha_panics() {
-        let (_, csr) = both(&[(0, 1, 1.0)], 2);
+        let csr = graph(&[(0, 1, 1.0)], 2);
         csr.trust_rank(
             &[0],
             &TrustRankConfig {

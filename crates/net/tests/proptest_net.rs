@@ -1,12 +1,12 @@
 //! Property-based tests for the link graph and trust propagation —
-//! including the contract the CSR refactor rests on: the frozen
-//! [`CsrGraph`] kernels are **bit-identical** to the legacy adjacency
-//! kernels on any graph, and a [`SpliceOverlay`] splice/unsplice cycle
-//! restores the exact frozen scores.
+//! including the contract the CSR kernels rest on: on any graph, the
+//! frozen [`CsrGraph`] kernels are **bit-identical** to a dense
+//! push-order reference (below), and a [`SpliceOverlay`] splice/unsplice
+//! cycle restores the exact frozen scores.
 
 use pharmaverify_net::{
-    anti_trust_rank, pagerank, trust_rank, CsrGraph, GraphBuilder, IncrementalConfig, NodeId,
-    SpliceOverlay, TrustRankConfig, TrustTrajectory, WebGraph,
+    CsrGraph, GraphBuilder, IncrementalConfig, NodeId, SpliceOverlay, TrustRankConfig,
+    TrustTrajectory,
 };
 use proptest::prelude::*;
 
@@ -18,23 +18,17 @@ fn random_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     })
 }
 
-fn build(n: usize, edges: &[(usize, usize)]) -> WebGraph {
-    let mut g = WebGraph::new();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| g.add_pharmacy(&format!("n{i}.com")))
-        .collect();
-    for &(a, b) in edges {
-        if a != b {
-            g.add_link(ids[a], &format!("n{b}.com"), 1.0);
-        }
-    }
-    g
+/// Unit-weight pharmacies `n0.com..` linked by `edges` (self-links
+/// dropped).
+fn build(n: usize, edges: &[(usize, usize)]) -> CsrGraph {
+    let weighted: Vec<(usize, usize, f64)> = edges.iter().map(|&(a, b)| (a, b, 1.0)).collect();
+    build_weighted(&vec![true; n], &weighted).freeze()
 }
 
 /// A random *weighted* mixed graph: per-node pharmacy flags plus
 /// `edges[i] = (from, to, weight)` with integer weights in {1, 2, 3} and
 /// duplicate `(from, to)` pairs allowed — duplicates exercise the
-/// builder's freeze-time merge against the legacy incremental merge.
+/// builder's freeze-time merge against the reference's `+=` merge.
 #[allow(clippy::type_complexity)]
 fn random_weighted_graph() -> impl Strategy<Value = (Vec<bool>, Vec<(usize, usize, f64)>)> {
     (2usize..20).prop_flat_map(|n| {
@@ -44,30 +38,25 @@ fn random_weighted_graph() -> impl Strategy<Value = (Vec<bool>, Vec<(usize, usiz
     })
 }
 
-/// Builds the legacy adjacency graph and the frozen CSR graph from the
-/// same insertion sequence. Node ids coincide by construction: both
-/// representations intern domains in first-appearance order.
-fn build_both(pharmacy: &[bool], edges: &[(usize, usize, f64)]) -> (WebGraph, CsrGraph) {
-    let mut legacy = WebGraph::new();
+/// The builder for nodes `n{i}.com` (pharmacy or external per flag)
+/// linked by `edges` in insertion order, self-links dropped — unfrozen,
+/// so a test can splice more links on before freezing.
+fn build_weighted(pharmacy: &[bool], edges: &[(usize, usize, f64)]) -> GraphBuilder {
     let mut builder = GraphBuilder::new();
     for (i, &is_pharmacy) in pharmacy.iter().enumerate() {
         let name = format!("n{i}.com");
         if is_pharmacy {
-            legacy.add_pharmacy(&name);
             builder.add_pharmacy(&name);
         } else {
-            legacy.add_external(&name);
             builder.add_external(&name);
         }
     }
     for &(a, b, w) in edges {
         if a != b {
-            let target = format!("n{b}.com");
-            legacy.add_link(a as NodeId, &target, w);
-            builder.add_link(a as NodeId, &target, w);
+            builder.add_link(a as NodeId, &format!("n{b}.com"), w);
         }
     }
-    (legacy, builder.freeze())
+    builder
 }
 
 /// Seed ids selected by a random bit vector, clipped to the node range.
@@ -81,24 +70,84 @@ fn bits(scores: &[f64]) -> Vec<u64> {
     scores.iter().map(|s| s.to_bits()).collect()
 }
 
-/// Freeze a legacy adjacency graph into a `CsrGraph` with identical node
-/// ids, so spliced legacy graphs can pin the overlay kernels.
-fn freeze_adjacency(g: &WebGraph) -> CsrGraph {
-    let mut builder = GraphBuilder::new();
-    for id in g.nodes() {
-        if g.is_pharmacy(id) {
-            builder.add_pharmacy(g.name(id));
-        } else {
-            builder.add_external(g.name(id));
+/// Dense push-order reference for the three kernels: an n×n weight
+/// matrix (`w[u * n + v]` is the merged weight of `u → v`), with no
+/// sorting, transposing, or blocking to get wrong.
+struct Dense {
+    n: usize,
+    w: Vec<f64>,
+}
+
+impl Dense {
+    /// Fills the matrix by `+=` in insertion order, self-links dropped.
+    fn new(n: usize, edges: &[(usize, usize, f64)]) -> Dense {
+        let mut w = vec![0.0; n * n];
+        for &(a, b, weight) in edges {
+            if a != b {
+                w[a * n + b] += weight;
+            }
         }
+        Dense { n, w }
     }
-    for u in g.nodes() {
-        for &(v, w) in g.out_edges(u) {
-            let target = g.name(v).to_owned();
-            builder.add_link(u, &target, w);
+
+    fn transposed(&self) -> Dense {
+        let n = self.n;
+        let w = (0..n * n).map(|i| self.w[(i % n) * n + i / n]).collect();
+        Dense { n, w }
+    }
+
+    /// `t ← α·(acc + dangling·d) + (1−α)·d`, pushing over ascending
+    /// source, then ascending target; row sums in ascending target
+    /// order. `skip_zero` drops zero-mass sources (TrustRank's
+    /// short-circuit; PageRank has none).
+    fn propagate(&self, d: &[f64], skip_zero: bool, cfg: &TrustRankConfig) -> Vec<f64> {
+        let n = self.n;
+        let out: Vec<f64> = (0..n)
+            .map(|u| self.w[u * n..(u + 1) * n].iter().sum())
+            .collect();
+        let mut t = d.to_vec();
+        for _ in 0..cfg.iterations {
+            let mut acc = vec![0.0; n];
+            let mut dangling = 0.0;
+            for u in 0..n {
+                if skip_zero && t[u] == 0.0 {
+                    continue;
+                }
+                if out[u] == 0.0 {
+                    dangling += t[u];
+                    continue;
+                }
+                for v in 0..n {
+                    if self.w[u * n + v] > 0.0 {
+                        acc[v] += t[u] * self.w[u * n + v] / out[u];
+                    }
+                }
+            }
+            for v in 0..n {
+                t[v] = cfg.alpha * (acc[v] + dangling * d[v]) + (1.0 - cfg.alpha) * d[v];
+            }
         }
+        t
     }
-    builder.freeze()
+
+    fn trust_rank(&self, seeds: &[NodeId], cfg: &TrustRankConfig) -> Vec<f64> {
+        let mut d = vec![0.0; self.n];
+        if seeds.is_empty() {
+            return d;
+        }
+        for &s in seeds {
+            d[s as usize] += 1.0 / seeds.len() as f64;
+        }
+        self.propagate(&d, true, cfg)
+    }
+
+    fn pagerank(&self, cfg: &TrustRankConfig) -> Vec<f64> {
+        self.propagate(&vec![1.0 / self.n as f64; self.n], false, cfg)
+    }
+
+    fn anti_trust_rank(&self, seeds: &[NodeId], cfg: &TrustRankConfig) -> Vec<f64> {
+        self.transposed().trust_rank(seeds, cfg)
+    }
 }
 
 proptest! {
@@ -113,7 +162,7 @@ proptest! {
         let seeds: Vec<NodeId> = (0..n as NodeId)
             .filter(|&i| seed_bits.get(i as usize).copied().unwrap_or(false))
             .collect();
-        let t = trust_rank(&g, &seeds, &TrustRankConfig::default());
+        let t = g.trust_rank(&seeds, &TrustRankConfig::default());
         prop_assert_eq!(t.len(), n);
         for &x in &t {
             prop_assert!(x >= 0.0);
@@ -131,13 +180,13 @@ proptest! {
     fn unreachable_nodes_zero((n, edges) in random_graph()) {
         let g = build(n, &edges);
         let seeds = vec![0 as NodeId];
-        let t = trust_rank(&g, &seeds, &TrustRankConfig::default());
+        let t = g.trust_rank(&seeds, &TrustRankConfig::default());
         // BFS reachability from node 0.
         let mut reachable = vec![false; n];
         reachable[0] = true;
         let mut queue = vec![0 as NodeId];
         while let Some(u) = queue.pop() {
-            for &(v, _) in g.out_edges(u) {
+            for (v, _) in g.out_edges(u) {
                 if !reachable[v as usize] {
                     reachable[v as usize] = true;
                     queue.push(v);
@@ -156,7 +205,7 @@ proptest! {
     #[test]
     fn pagerank_sums_to_one((n, edges) in random_graph()) {
         let g = build(n, &edges);
-        let r = pagerank(&g, &TrustRankConfig::default());
+        let r = g.pagerank(&TrustRankConfig::default());
         let sum: f64 = r.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
         for &x in &r {
@@ -178,32 +227,29 @@ proptest! {
         prop_assert_eq!(g.edge_count(), distinct.len());
     }
 
-    /// The three CSR kernels reproduce the legacy adjacency kernels
-    /// **bit for bit** on any weighted graph with duplicate links — the
-    /// refactor's core contract: freezing is a representation change,
-    /// never a numeric one.
+    /// The three CSR kernels reproduce the dense push-order reference
+    /// **bit for bit** on any weighted graph with duplicate links —
+    /// freezing is a representation change, never a numeric one.
     #[test]
-    fn csr_kernels_match_legacy_bit_for_bit(
+    fn csr_kernels_match_dense_reference_bit_for_bit(
         (pharmacy, edges) in random_weighted_graph(),
         seed_bits in prop::collection::vec(any::<bool>(), 2..20),
     ) {
         let n = pharmacy.len();
-        let (legacy, csr) = build_both(&pharmacy, &edges);
-        prop_assert_eq!(csr.node_count(), legacy.node_count());
-        prop_assert_eq!(csr.edge_count(), legacy.edge_count());
+        let csr = build_weighted(&pharmacy, &edges).freeze();
+        let dense = Dense::new(n, &edges);
+        prop_assert_eq!(csr.node_count(), n);
+        prop_assert_eq!(csr.edge_count(), dense.w.iter().filter(|&&w| w > 0.0).count());
         let seeds = seeds_from_bits(n, &seed_bits);
         let config = TrustRankConfig::default();
         prop_assert_eq!(
             bits(&csr.trust_rank(&seeds, &config)),
-            bits(&trust_rank(&legacy, &seeds, &config))
+            bits(&dense.trust_rank(&seeds, &config))
         );
-        prop_assert_eq!(
-            bits(&csr.pagerank(&config)),
-            bits(&pagerank(&legacy, &config))
-        );
+        prop_assert_eq!(bits(&csr.pagerank(&config)), bits(&dense.pagerank(&config)));
         prop_assert_eq!(
             bits(&csr.anti_trust_rank(&seeds, &config)),
-            bits(&anti_trust_rank(&legacy, &seeds, &config))
+            bits(&dense.anti_trust_rank(&seeds, &config))
         );
     }
 
@@ -217,7 +263,7 @@ proptest! {
         link_bits in prop::collection::vec(any::<bool>(), 2..20),
     ) {
         let n = pharmacy.len();
-        let (_, csr) = build_both(&pharmacy, &edges);
+        let csr = build_weighted(&pharmacy, &edges).freeze();
         let seeds = seeds_from_bits(n, &seed_bits);
         let config = TrustRankConfig::default();
         let base = csr.trust_rank(&seeds, &config);
@@ -242,7 +288,7 @@ proptest! {
 
     /// Anti-trust parity on adversarially-shaped graphs: the CSR kernel,
     /// the transposed-graph trust kernel, and the unspliced overlay all
-    /// reproduce the legacy adjacency `anti_trust_rank` **bit for bit**
+    /// reproduce the dense reference's anti-trust **bit for bit**
     /// on graphs with *forced* dangling structure — `cut` nodes lose
     /// every in- and out-edge, so they are dangling under both
     /// propagation directions — and bad-seed sets drawn to overlap the
@@ -260,7 +306,8 @@ proptest! {
             .into_iter()
             .filter(|&(a, b, _)| !cut.contains(&a) && !cut.contains(&b))
             .collect();
-        let (legacy, csr) = build_both(&pharmacy, &edges);
+        let csr = build_weighted(&pharmacy, &edges).freeze();
+        let dense = Dense::new(n, &edges);
         // Bad seeds: the random draw plus every cut node, so the seed
         // set always overlaps the dangling set.
         let mut bad = seeds_from_bits(n, &seed_bits);
@@ -270,7 +317,7 @@ proptest! {
         bad.sort_unstable();
         bad.dedup();
         let cfg = TrustRankConfig::default();
-        let want = anti_trust_rank(&legacy, &bad, &cfg);
+        let want = dense.anti_trust_rank(&bad, &cfg);
         prop_assert_eq!(bits(&csr.anti_trust_rank(&bad, &cfg)), bits(&want));
         prop_assert_eq!(bits(&csr.transposed().trust_rank(&bad, &cfg)), bits(&want));
         let ov = SpliceOverlay::new(&csr);
@@ -279,7 +326,7 @@ proptest! {
         // reversed propagation stay independently bit-identical.
         prop_assert_eq!(
             bits(&csr.trust_rank(&bad, &cfg)),
-            bits(&trust_rank(&legacy, &bad, &cfg))
+            bits(&dense.trust_rank(&bad, &cfg))
         );
     }
 
@@ -302,7 +349,7 @@ proptest! {
         ),
     ) {
         let n = pharmacy.len();
-        let (legacy, csr) = build_both(&pharmacy, &edges);
+        let csr = build_weighted(&pharmacy, &edges).freeze();
         let bad = seeds_from_bits(n, &bad_bits);
         let cfg = TrustRankConfig::default();
         let traj = TrustTrajectory::compute(&csr.transposed(), &bad, &cfg);
@@ -320,10 +367,14 @@ proptest! {
             overlay.splice_pharmacy(&domain, &links);
             let full = overlay.anti_trust_rank(&bad, &cfg);
             // Pin the full overlay kernel against a from-scratch freeze
-            // of the overlaid graph (same ids by construction).
-            let mut spliced_legacy = legacy.clone();
-            spliced_legacy.splice_pharmacy(&domain, &links);
-            let rebuilt = freeze_adjacency(&spliced_legacy);
+            // of the overlaid graph: the base links, then the candidate's
+            // (same ids and merge order by construction).
+            let mut spliced = build_weighted(&pharmacy, &edges);
+            let node = spliced.add_pharmacy(&domain);
+            for (target, w) in links.iter().filter(|(t, _)| *t != domain) {
+                spliced.add_link(node, target, *w);
+            }
+            let rebuilt = spliced.freeze();
             prop_assert_eq!(bits(&rebuilt.anti_trust_rank(&bad, &cfg)), bits(&full));
             let inc = overlay.anti_trust_rank_incremental(&traj, &exact);
             prop_assert_eq!(bits(&inc.scores), bits(&full));
@@ -356,7 +407,7 @@ proptest! {
         ),
     ) {
         let n = pharmacy.len();
-        let (_, csr) = build_both(&pharmacy, &edges);
+        let csr = build_weighted(&pharmacy, &edges).freeze();
         let seeds = seeds_from_bits(n, &seed_bits);
         let cfg = TrustRankConfig::default();
         let traj = TrustTrajectory::compute(&csr, &seeds, &cfg);

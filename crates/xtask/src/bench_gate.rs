@@ -5,7 +5,9 @@
 //! compares the new report against the *latest* committed baseline and
 //! fails on any shared bench name whose throughput dropped by more than
 //! [`TOLERANCE`] — a cheap tripwire against quietly pessimizing a
-//! kernel while refactoring around it.
+//! kernel while refactoring around it. A baseline row missing from the
+//! fresh report fails too, unless the workspace's `CHANGES.md` names it
+//! in backticks: retiring a bench must be declared, never silent.
 //!
 //! The reports are the `microbench` binary's own output, so the parser
 //! here is a deliberately tiny scanner over the
@@ -65,7 +67,8 @@ fn next_number(s: &str) -> Option<f64> {
 
 /// Compares a fresh run against a baseline and returns one message per
 /// regressed shared bench name. Names present in only one report are
-/// ignored — adding or retiring benches is not a regression.
+/// ignored here — adding a bench is not a regression, and retiring one
+/// is [`vanished`]'s concern.
 pub fn regressions(baseline: &[BenchRow], fresh: &[BenchRow], tolerance: f64) -> Vec<String> {
     let mut failures = Vec::new();
     for (name, base) in baseline {
@@ -80,6 +83,20 @@ pub fn regressions(baseline: &[BenchRow], fresh: &[BenchRow], tolerance: f64) ->
         }
     }
     failures
+}
+
+/// Returns one message per baseline bench name absent from the fresh
+/// report whose removal `declarations` (the text of `CHANGES.md`) does
+/// not declare by naming it in backticks.
+pub fn vanished(baseline: &[BenchRow], fresh: &[BenchRow], declarations: &str) -> Vec<String> {
+    baseline
+        .iter()
+        .filter(|(name, _)| !fresh.iter().any(|(n, _)| n == name))
+        .filter(|(name, _)| !declarations.contains(&format!("`{name}`")))
+        .map(|(name, _)| {
+            format!("{name}: missing from the fresh report and not declared removed in CHANGES.md")
+        })
+        .collect()
 }
 
 /// Finds the highest-numbered `BENCH_<n>.json` at the workspace root,
@@ -110,8 +127,9 @@ pub fn latest_baseline(root: &Path, exclude: &Path) -> Option<PathBuf> {
 }
 
 /// Runs the gate: fresh report at `out`, baseline auto-discovered at
-/// the workspace root. Returns a human summary on pass, the list of
-/// regressions on fail. A missing baseline or an unparsable report
+/// the workspace root, removals declared in its `CHANGES.md`. Returns a
+/// human summary on pass, the list of regressions and undeclared
+/// vanished rows on fail. A missing baseline or an unparsable report
 /// passes with a note — the first run of a new trajectory has nothing
 /// to compare against.
 pub fn gate(root: &Path, out: &Path) -> Result<String, String> {
@@ -123,6 +141,17 @@ pub fn gate(root: &Path, out: &Path) -> Result<String, String> {
     };
     let baseline = parse_throughputs(&read(&baseline_path)?);
     let fresh = parse_throughputs(&read(out)?);
+    let declarations = std::fs::read_to_string(root.join("CHANGES.md")).unwrap_or_default();
+    let mut failures = vanished(&baseline, &fresh, &declarations);
+    failures.extend(regressions(&baseline, &fresh, TOLERANCE));
+    if !failures.is_empty() {
+        return Err(format!(
+            "vs {} (throughput tolerance {:.0}%):\n  {}",
+            baseline_path.display(),
+            100.0 * TOLERANCE,
+            failures.join("\n  ")
+        ));
+    }
     let shared = baseline
         .iter()
         .filter(|(n, _)| fresh.iter().any(|(m, _)| m == n))
@@ -133,19 +162,9 @@ pub fn gate(root: &Path, out: &Path) -> Result<String, String> {
             baseline_path.display()
         ));
     }
-    let failures = regressions(&baseline, &fresh, TOLERANCE);
-    if failures.is_empty() {
-        Ok(format!(
-            "{shared} shared bench name(s) within {:.0}% of {}",
-            100.0 * TOLERANCE,
-            baseline_path.display()
-        ))
-    } else {
-        Err(format!(
-            "throughput regressed >{:.0}% vs {}:\n  {}",
-            100.0 * TOLERANCE,
-            baseline_path.display(),
-            failures.join("\n  ")
-        ))
-    }
+    Ok(format!(
+        "{shared} shared bench name(s) within {:.0}% of {}",
+        100.0 * TOLERANCE,
+        baseline_path.display()
+    ))
 }

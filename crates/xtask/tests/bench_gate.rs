@@ -1,9 +1,12 @@
 //! Self-test of the `cargo xtask bench` regression gate against two
 //! fixture reports: a baseline and a run where one kernel's throughput
 //! halved. The gate must flag exactly the halved bench, tolerate
-//! within-noise drift, and ignore benches present in only one report.
+//! within-noise drift, leave new benches alone, and fail on a retired
+//! bench unless `CHANGES.md` declares its removal.
 
-use xtask::bench_gate::{latest_baseline, parse_throughputs, regressions, TOLERANCE};
+use xtask::bench_gate::{
+    gate, latest_baseline, parse_throughputs, regressions, vanished, TOLERANCE,
+};
 
 const BASELINE: &str = include_str!("bench_fixtures/baseline.json");
 const REGRESSED: &str = include_str!("bench_fixtures/regressed.json");
@@ -56,5 +59,50 @@ fn latest_baseline_picks_highest_number_and_skips_the_fresh_report() {
     let fresh = dir.join("BENCH_11.json");
     let picked = latest_baseline(&dir, &fresh).expect("baseline");
     assert_eq!(picked, dir.join("BENCH_10.json"));
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn undeclared_vanished_row_fails() {
+    let baseline = parse_throughputs(BASELINE);
+    let fresh = parse_throughputs(REGRESSED);
+    // A mention without backticks is not a declaration.
+    let failures = vanished(&baseline, &fresh, "- retired legacy/retired_bench\n");
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(
+        failures[0].starts_with("legacy/retired_bench:"),
+        "{}",
+        failures[0]
+    );
+}
+
+#[test]
+fn declared_vanished_row_passes() {
+    let baseline = parse_throughputs(BASELINE);
+    let fresh = parse_throughputs(REGRESSED);
+    let declared = "- Retired `legacy/retired_bench` with its kernel.\n";
+    assert!(vanished(&baseline, &fresh, declared).is_empty());
+}
+
+#[test]
+fn gate_reads_removal_declarations_from_changes_md() {
+    let dir = std::env::temp_dir().join(format!("pharmaverify-vanish-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("BENCH_1.json"), BASELINE).expect("write");
+    let fresh = dir.join("BENCH_2.json");
+    let retired: String = BASELINE
+        .lines()
+        .filter(|l| !l.contains("legacy/retired_bench"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&fresh, retired).expect("write");
+    let undeclared = gate(&dir, &fresh).expect_err("undeclared removal must fail");
+    assert!(undeclared.contains("legacy/retired_bench"), "{undeclared}");
+    std::fs::write(
+        dir.join("CHANGES.md"),
+        "- Retired `legacy/retired_bench`.\n",
+    )
+    .expect("write");
+    assert!(gate(&dir, &fresh).is_ok());
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
