@@ -51,12 +51,14 @@
 //! byte-identical at any worker count; domains/sec and edges/sec per
 //! power iteration go to stderr.
 
+use pharmaverify_bench::context::REPRO_SEED;
 use pharmaverify_bench::{
-    adversarial_study, build_web_tier, federation_study, online_study, rank_web_tier,
-    render_report_with, scale_section, serving_study, ReproContext, Scale, Selection,
+    adversarial_study, build_web_tier, rank_web_tier, render_report_with, replay_study,
+    scale_section, ReproContext, Scale, Selection,
 };
 use pharmaverify_core::pipeline::Executor;
 use pharmaverify_corpus::AttackKind;
+use pharmaverify_serve::{FederationPolicy, ReplayConfig, ReplayStats, Scenario};
 use std::time::Instant;
 
 /// Environment variable naming a trace output file (`--trace` wins).
@@ -89,8 +91,7 @@ fn main() {
     let mut attack: Option<AttackKind> = None;
     let mut attack_strength = 0.6_f64;
     let mut federation: Option<usize> = None;
-    let mut staleness_budget: Option<u64> = None;
-    let mut fast_confidence: Option<f64> = None;
+    let mut policy = FederationPolicy::default();
     let mut trace_path = std::env::var(TRACE_ENV).ok().filter(|p| !p.is_empty());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -235,7 +236,7 @@ fn main() {
                 let value = require_value(&mut args, "--staleness-budget");
                 match value.parse::<u64>() {
                     Ok(n) => {
-                        staleness_budget = Some(n);
+                        policy.staleness_budget_micros = n;
                     }
                     _ => {
                         eprintln!(
@@ -250,7 +251,7 @@ fn main() {
                 let value = require_value(&mut args, "--fast-confidence");
                 match value.parse::<f64>() {
                     Ok(f) if (0.0..=1.0).contains(&f) => {
-                        fast_confidence = Some(f);
+                        policy.fast_confidence = f;
                     }
                     _ => {
                         eprintln!("--fast-confidence expects a number in [0, 1], got '{value}'");
@@ -303,8 +304,8 @@ fn main() {
         // byte-identical to a run without the flag, and the section
         // itself is byte-identical at any worker count.
         let serve_started = Instant::now();
-        let (table, stats) = serving_study(&ctx, requests, serve_workers);
-        println!("{table}");
+        let config = ReplayConfig::new(requests, serve_workers, REPRO_SEED);
+        replay_section(&ctx, &config, &Scenario::Serving);
         let elapsed = serve_started.elapsed().as_secs_f64();
         let obs = pharmaverify_obs::global();
         let quantile = |q: f64| {
@@ -313,10 +314,9 @@ fn main() {
                 .map_or_else(|| "n/a".to_string(), |v| format!("≤{v}µs"))
         };
         eprintln!(
-            "[repro] serving: {} requests in {elapsed:.1}s ({:.0} req/s, {} workers), \
+            "[repro] serving: {requests} requests in {elapsed:.1}s ({:.0} req/s, {} workers), \
              latency p50 {} p99 {}",
-            stats.requests,
-            stats.requests as f64 / elapsed.max(f64::EPSILON),
+            requests as f64 / elapsed.max(f64::EPSILON),
             serve_workers,
             quantile(0.5),
             quantile(0.99),
@@ -328,16 +328,19 @@ fn main() {
         // workload, retrains on trigger, and hot-swaps the model while
         // the service keeps answering. Counts only; wall time on stderr.
         let online_started = Instant::now();
-        let (table, stats) = online_study(&ctx, waves, serve_workers);
-        println!("{table}");
-        eprintln!(
-            "[repro] online: {} responses over {waves} waves in {:.1}s \
-             ({} retrains, final model v{})",
-            stats.responses,
-            online_started.elapsed().as_secs_f64(),
-            stats.retrains,
-            stats.final_version,
-        );
+        let config = ReplayConfig::waves(waves, serve_workers, REPRO_SEED);
+        if let ReplayStats::Online(stats) =
+            replay_section(&ctx, &config, &Scenario::online(&config))
+        {
+            eprintln!(
+                "[repro] online: {} responses over {waves} waves in {:.1}s \
+                 ({} retrains, final model v{})",
+                stats.responses,
+                online_started.elapsed().as_secs_f64(),
+                stats.retrains,
+                stats.final_version,
+            );
+        }
     }
 
     if let Some(kind) = attack {
@@ -386,23 +389,19 @@ fn main() {
         // The final pure suffix: the tiered federation replay. The table
         // holds only seed-determined counts; wall time stays on stderr.
         let federation_started = Instant::now();
-        let (table, stats) = federation_study(
-            &ctx,
-            requests,
-            serve_workers,
-            staleness_budget,
-            fast_confidence,
-        );
-        println!("{table}");
-        let elapsed = federation_started.elapsed().as_secs_f64();
-        eprintln!(
-            "[repro] federation: {} requests in {elapsed:.1}s ({:.0} req/s, {} workers), \
-             {} answered before the slow path",
-            stats.requests,
-            stats.requests as f64 / elapsed.max(f64::EPSILON),
-            serve_workers,
-            stats.answered_cheap(),
-        );
+        let config = ReplayConfig::new(requests, serve_workers, REPRO_SEED);
+        let scenario = Scenario::federation(policy);
+        if let ReplayStats::Federation(stats) = replay_section(&ctx, &config, &scenario) {
+            let elapsed = federation_started.elapsed().as_secs_f64();
+            eprintln!(
+                "[repro] federation: {} requests in {elapsed:.1}s ({:.0} req/s, {} workers), \
+                 {} answered before the slow path",
+                stats.requests,
+                stats.requests as f64 / elapsed.max(f64::EPSILON),
+                serve_workers,
+                stats.answered_cheap(),
+            );
+        }
     }
 
     let obs = pharmaverify_obs::global();
@@ -435,4 +434,20 @@ fn main() {
         "[repro] done in {:.1}s ({hits} cache hits, {misses} misses)",
         started.elapsed().as_secs_f64()
     );
+}
+
+/// Runs one replay study on the process-global registry (so `serve/*`
+/// metrics land in the trace) and prints its section; a failed store
+/// checkpoint ends the run with exit code 1.
+fn replay_section(ctx: &ReproContext, config: &ReplayConfig, scenario: &Scenario) -> ReplayStats {
+    match replay_study(ctx, config, scenario, pharmaverify_obs::global_arc()) {
+        Ok((table, stats)) => {
+            println!("{table}");
+            stats
+        }
+        Err(e) => {
+            eprintln!("[repro] replay store checkpoint failed: {e}");
+            std::process::exit(1);
+        }
+    }
 }

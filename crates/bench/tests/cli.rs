@@ -266,6 +266,24 @@ fn federated_run_appends_federation_section_as_pure_suffix() {
 }
 
 #[test]
+fn unwritable_store_checkpoint_exits_one_without_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "small", "--table", "2", "--federation", "48"])
+        .env("TMPDIR", "/nonexistent")
+        .env_remove("PHARMAVERIFY_SCALE")
+        .env_remove("PHARMAVERIFY_TRACE")
+        .output()
+        .expect("binary runs");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "stderr was {err:?}");
+    assert!(
+        err.contains("[repro] replay store checkpoint failed: I/O error at /nonexistent/"),
+        "stderr was {err:?}"
+    );
+    assert!(!err.contains("panicked"), "stderr was {err:?}");
+}
+
+#[test]
 fn attacked_run_appends_adversarial_section_as_pure_suffix() {
     let plain = run(&["--scale", "small", "--table", "2"]);
     assert!(plain.status.success(), "{:?}", stderr(&plain));

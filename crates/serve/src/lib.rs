@@ -20,8 +20,10 @@
 //!   a deterministic shift statistic that triggers retraining;
 //! * [`workload`] — [`WorkloadGenerator`]: seeded, Zipf-skewed request
 //!   streams drawn from the synthetic corpus's two snapshots;
-//! * [`replay`] — [`replay_workload`]: the wave-driven harness whose
-//!   [`ServingStats`] are byte-identical across worker counts for the
+//! * [`replay`] — [`replay()`]: the one wave-driven harness, run over
+//!   a [`Scenario`] (plain serving, online drift with retrain and
+//!   hot-swap, or the federation with a store restart); its
+//!   [`ReplayStats`] are byte-identical across worker counts for the
 //!   same seed (enforced by `cargo xtask check`'s determinism audit);
 //! * [`federation`] — [`Federation`]: a tiered front-end (response
 //!   cache → persisted [`VerdictStore`] → text-only fast path → full
@@ -38,13 +40,11 @@ pub mod workload;
 
 pub use cache::{Fill, Lookup, Reserve, ResponseCache};
 pub use drift::{DriftConfig, DriftMonitor, DriftVerdict};
-pub use federation::{
-    replay_federation, Federation, FederationConfig, FederationPolicy, FederationStats, Routed,
-    StoredVerdict, VerdictStore,
-};
+pub use federation::{Federation, FederationPolicy, Routed, StoredVerdict, VerdictStore};
 pub use registry::ModelRegistry;
 pub use replay::{
-    replay_online, replay_workload, OnlineConfig, OnlineStats, ReplayConfig, ServingStats,
+    replay, Answers, FederationStats, OnlineStats, ReplayConfig, ReplayStats, Scenario,
+    ServingStats,
 };
 pub use service::{Outcome, ServeConfig, ServeError, Ticket, VerifyService};
 pub use workload::{Request, RequestKind, WorkloadGenerator};

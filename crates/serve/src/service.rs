@@ -34,7 +34,11 @@
 //!   in-flight waiters). Whether a duplicate lands before or after its
 //!   predecessor's batch completes is a race; *that it does not trigger a
 //!   second verification* is not. The split is timing-dependent, the sum
-//!   is deterministic — so only the sum is recorded.
+//!   is deterministic — so only the sum is recorded. A duplicate that
+//!   arrives at the logical instant its predecessor completed joins that
+//!   outcome even when the cache does not hold it (cache disabled, as in
+//!   the federation's slow path, or a degraded verdict), so "finished
+//!   just before" and "still in flight" stay indistinguishable.
 //! * **Cache eviction is by submission seq** (see [`crate::cache`]), so
 //!   final cache contents are insertion-order-independent.
 //! * Request latencies are recorded with
@@ -226,6 +230,12 @@ struct ServeState {
     cache: ResponseCache,
     forming: Vec<BatchRequest>,
     in_flight: BTreeMap<String, Vec<Arc<Slot>>>,
+    /// Outcomes completed at logical instant `completed_at`, by domain;
+    /// a duplicate submitted at that instant joins one as it would join
+    /// the verification in flight (see the module's determinism
+    /// contract).
+    completed: BTreeMap<String, Outcome>,
+    completed_at: u64,
     pending: usize,
     next_seq: u64,
     window: VecDeque<bool>,
@@ -303,6 +313,8 @@ impl<H: WebHost + Send + Sync + 'static> VerifyService<H> {
                 cache,
                 forming: Vec::new(),
                 in_flight: BTreeMap::new(),
+                completed: BTreeMap::new(),
+                completed_at: 0,
                 pending: 0,
                 next_seq: 0,
                 window: VecDeque::new(),
@@ -396,6 +408,15 @@ impl<H: WebHost + Send + Sync + 'static> VerifyService<H> {
                 waiters.push(slot);
                 state.pending += 1;
                 ticket
+            } else if let Some(outcome) = state
+                .completed
+                .get(&domain)
+                .filter(|_| state.completed_at == now)
+            {
+                // Just completed at this instant: joined like an
+                // in-flight verification, and counted the same way.
+                obs.add("serve/cache/hit", 1);
+                Ticket::ready(outcome.clone())
             } else {
                 obs.add("serve/cache/miss", 1);
                 // Claim the cache slot now, on the submission thread:
@@ -593,6 +614,11 @@ fn process_batch<H: WebHost + Send + Sync>(shared: &Shared<H>, batch: SealedBatc
             let waiters = state.in_flight.remove(&req.domain).unwrap_or_default();
             state.pending = state.pending.saturating_sub(waiters.len());
             let outcome: Outcome = result.map_err(ServeError::Verify);
+            if state.completed_at != now {
+                state.completed.clear();
+                state.completed_at = now;
+            }
+            state.completed.insert(req.domain.clone(), outcome.clone());
             fulfilled.push((waiters, outcome));
         }
     }

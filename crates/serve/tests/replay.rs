@@ -1,14 +1,14 @@
-//! Replay determinism: the tentpole guarantee that [`ServingStats`] is a
-//! pure function of the seed — identical at any worker count — plus
-//! sanity checks that the workload actually exercises cache hits,
-//! misses, evictions, and batching.
+//! Replay determinism: the core guarantee that every scenario's
+//! [`ReplayStats`] is a pure function of the seed — identical at any
+//! worker count — plus sanity checks that the workloads actually
+//! exercise cache hits, misses, evictions, batching, and the hot-swap.
 
 use pharmaverify_core::{extract_corpus, TextLearnerKind, TrainedVerifier};
 use pharmaverify_corpus::{CorpusConfig, Snapshot, SyntheticWeb};
 use pharmaverify_crawl::CrawlConfig;
 use pharmaverify_obs::{Registry, VirtualClock};
 use pharmaverify_serve::{
-    replay_online, replay_workload, OnlineConfig, OnlineStats, ReplayConfig, ServingStats,
+    replay, FederationPolicy, OnlineStats, ReplayConfig, ReplayStats, Scenario, ServingStats,
 };
 use std::sync::Arc;
 
@@ -29,21 +29,47 @@ fn trained() -> (Arc<TrainedVerifier>, Snapshot, Snapshot) {
     )
 }
 
-fn run(workers: usize, requests: usize) -> ServingStats {
+fn run_scenario(config: &ReplayConfig, scenario: &Scenario) -> ReplayStats {
     let (verifier, snap1, snap2) = trained();
     let obs = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
+    replay(verifier, &snap1, &snap2, config, scenario, obs).expect("store checkpoint persists")
+}
+
+fn run(workers: usize, requests: usize) -> ServingStats {
     let config = ReplayConfig::new(requests, workers, 20180326);
-    replay_workload(verifier, &snap1, &snap2, &config, obs)
+    match run_scenario(&config, &Scenario::Serving) {
+        ReplayStats::Serving(stats) => stats,
+        other => panic!("serving replay returned {other:?}"),
+    }
+}
+
+fn run_online(workers: usize, waves: usize) -> OnlineStats {
+    let config = ReplayConfig::waves(waves, workers, 20180326);
+    match run_scenario(&config, &Scenario::online(&config)) {
+        ReplayStats::Online(stats) => stats,
+        other => panic!("online replay returned {other:?}"),
+    }
 }
 
 #[test]
 fn stats_are_identical_across_worker_counts() {
-    let serial = run(1, 120);
-    let four = run(4, 120);
-    assert_eq!(serial, four, "worker count leaked into the stats");
-    // And the rendered lines (what the report prints) match byte for
-    // byte.
-    assert_eq!(serial.lines(), four.lines());
+    let scenarios: [(ReplayConfig, fn(&ReplayConfig) -> Scenario); 3] = [
+        (ReplayConfig::new(120, 1, 20180326), |_| Scenario::Serving),
+        (ReplayConfig::waves(8, 1, 20180326), Scenario::online),
+        (ReplayConfig::new(120, 1, 20180326), |_| {
+            Scenario::federation(FederationPolicy::default())
+        }),
+    ];
+    for (serial_config, scenario) in scenarios {
+        let mut four_config = serial_config.clone();
+        four_config.serve.workers = 4;
+        let serial = run_scenario(&serial_config, &scenario(&serial_config));
+        let four = run_scenario(&four_config, &scenario(&four_config));
+        assert_eq!(serial, four, "worker count leaked into the stats");
+        // And the rendered lines (what the report prints) match byte
+        // for byte.
+        assert_eq!(serial.lines(), four.lines());
+    }
 }
 
 #[test]
@@ -63,30 +89,15 @@ fn workload_exercises_the_interesting_paths() {
         "TTL 200 with +100/wave must expire entries: {stats:?}"
     );
     assert!(stats.batches > 0);
-    assert!(stats.verdicts_legitimate + stats.verdicts_illegitimate > 0);
+    assert!(stats.answers.legitimate + stats.answers.illegitimate > 0);
     assert!(
-        stats.errors_empty_site > 0,
+        stats.answers.empty_site > 0,
         "vanished snapshot-1 sites must surface as EmptySite: {stats:?}"
     );
     // Bookkeeping: every accepted request is a hit, a miss, or an error
     // whose URL never reached the cache path (none here — bad URLs are
     // rejected at the door, and vanished sites still count as misses).
     assert_eq!(stats.cache_hits + stats.cache_misses, stats.accepted);
-}
-
-fn run_online(workers: usize, waves: usize) -> OnlineStats {
-    let (verifier, snap1, snap2) = trained();
-    let obs = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
-    let config = OnlineConfig::new(waves, workers, 20180326);
-    replay_online(verifier, &snap1, &snap2, &config, obs)
-}
-
-#[test]
-fn online_stats_are_identical_across_worker_counts() {
-    let serial = run_online(1, 8);
-    let four = run_online(4, 8);
-    assert_eq!(serial, four, "worker count leaked into the online stats");
-    assert_eq!(serial.lines(), four.lines());
 }
 
 #[test]
@@ -107,33 +118,34 @@ fn online_replay_drifts_retrains_and_swaps_without_dropping_responses() {
         "a retrain must have been hot-swapped in: {stats:?}"
     );
     assert!(
-        stats.verdicts_v0 > 0,
+        stats.serving.answers.on_v0 > 0,
         "pre-swap verdicts missing: {stats:?}"
     );
     assert!(
-        stats.verdicts_swapped > 0,
+        stats.serving.answers.on_swapped > 0,
         "post-swap verdicts must carry the new version: {stats:?}"
     );
 }
 
 #[test]
-fn different_seeds_give_different_tallies() {
+fn unwritable_store_path_is_an_error_not_a_panic() {
+    let config = ReplayConfig::new(48, 2, 20180326);
+    let scenario = Scenario::Federation {
+        policy: FederationPolicy::default(),
+        store_path: "/nonexistent/pharmaverify-store.json".into(),
+    };
     let (verifier, snap1, snap2) = trained();
-    let obs_a = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
-    let obs_b = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
-    let a = replay_workload(
-        Arc::clone(&verifier),
-        &snap1,
-        &snap2,
-        &ReplayConfig::new(80, 2, 1),
-        obs_a,
+    let obs = Arc::new(Registry::with_clock(Box::new(VirtualClock::new(0))));
+    let outcome = replay(verifier, &snap1, &snap2, &config, &scenario, obs);
+    assert!(
+        outcome.is_err(),
+        "checkpoint into a missing directory: {outcome:?}"
     );
-    let b = replay_workload(
-        verifier,
-        &snap1,
-        &snap2,
-        &ReplayConfig::new(80, 2, 2),
-        obs_b,
-    );
+}
+
+#[test]
+fn different_seeds_give_different_tallies() {
+    let a = run_scenario(&ReplayConfig::new(80, 2, 1), &Scenario::Serving);
+    let b = run_scenario(&ReplayConfig::new(80, 2, 2), &Scenario::Serving);
     assert_ne!(a, b, "seeds 1 and 2 produced identical tallies");
 }

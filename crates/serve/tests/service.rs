@@ -267,7 +267,7 @@ fn degraded_verdicts_are_never_served_from_cache() {
             ..ServeConfig::default()
         },
         Arc::clone(&obs),
-        Arc::new(clock),
+        Arc::new(clock.clone()),
     );
     let url = &snap1.sites[0].seed_url;
     let first = service
@@ -278,8 +278,10 @@ fn degraded_verdicts_are_never_served_from_cache() {
     assert!(first.degraded, "patchy host must degrade the crawl");
     assert_eq!(obs.counter("serve/cache/skip_degraded"), 1);
 
-    // The degraded verdict was not cached: the repeat is a fresh miss
-    // and a second verification.
+    // The degraded verdict was not cached: a repeat at a later instant
+    // (the cache never expires here, so a cached verdict would answer
+    // it) is a fresh miss and a second verification.
+    clock.advance(1);
     let second = service
         .submit(url)
         .expect("admitted")
@@ -288,6 +290,49 @@ fn degraded_verdicts_are_never_served_from_cache() {
     assert!(second.degraded);
     assert_eq!(obs.counter("serve/cache/miss"), 2);
     assert_eq!(obs.counter("serve/cache/hit"), 0);
+}
+
+/// A duplicate submitted at the instant its predecessor completed joins
+/// that outcome, as it would join the verification still in flight — so
+/// a cache-less service (the federation's slow path) does not verify a
+/// domain twice in one instant depending on which thread won the race.
+#[test]
+fn same_instant_duplicate_joins_the_completed_verification() {
+    let (verifier, snap1, _snap2) = trained();
+    let (obs, clock) = test_obs();
+    let service = VerifyService::with_observability(
+        verifier,
+        Arc::new(snap1.web.clone()),
+        ServeConfig {
+            workers: 1,
+            max_batch: 1,
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        },
+        Arc::clone(&obs),
+        Arc::new(clock.clone()),
+    );
+    let url = &snap1.sites[0].seed_url;
+    let first = service.submit(url).expect("admitted").wait();
+    let second = service.submit(url).expect("admitted").wait();
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    assert_eq!(
+        obs.counter("serve/batch"),
+        1,
+        "one verification per instant"
+    );
+    assert_eq!(obs.counter("serve/cache/miss"), 1);
+    assert_eq!(obs.counter("serve/cache/hit"), 1);
+
+    // The next instant forgets it: no cache, so the domain re-verifies.
+    clock.advance(1);
+    service
+        .submit(url)
+        .expect("admitted")
+        .wait()
+        .expect("verifies");
+    assert_eq!(obs.counter("serve/batch"), 2);
+    assert_eq!(obs.counter("serve/cache/miss"), 2);
 }
 
 /// Hot-swap protocol: a batch already dispatched keeps the model it was

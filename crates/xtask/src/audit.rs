@@ -31,7 +31,7 @@
 //! the whole point of the service's determinism contract. The serving
 //! section must also be a pure suffix of the fault-free output.
 //!
-//! The online double-run (`--online-waves 6`, `--serve-workers 1` vs
+//! The online double-run (`--online-waves 8`, `--serve-workers 1` vs
 //! `4`) drives the drift-monitored replay: the workload mix shifts
 //! mid-replay, the drift monitor triggers a seeded retrain, and the
 //! retrained model is hot-swapped through the registry while requests
@@ -39,7 +39,10 @@
 //! retrains, per-model-version verdict tallies — must be byte-identical
 //! across service worker counts and a pure suffix of the fault-free
 //! output: the swap protocol must not let scheduling touch a single
-//! count.
+//! count. The audit also requires a nonzero final model version *and*
+//! nonzero "verdicts on swapped models": a swap that no verdict was
+//! served from would leave the hot-swapped model's answers out of the
+//! byte-compare.
 //!
 //! The adversarial double-run (`--attack link-farm --attack-strength
 //! 0.6`) sweeps a seeded link-farm attack over three strengths and
@@ -116,9 +119,14 @@ const SERVE_SERIAL_ARGS: &[&str] = &["--serve-workload", "60", "--serve-workers"
 const SERVE_PARALLEL_ARGS: &[&str] = &["--serve-workload", "60", "--serve-workers", "4"];
 
 /// Wave count of the online audit runs — enough waves that the mix
-/// shift closes at least one drifted window and forces a retrain+swap.
-const ONLINE_SERIAL_ARGS: &[&str] = &["--online-waves", "6", "--serve-workers", "1"];
-const ONLINE_PARALLEL_ARGS: &[&str] = &["--online-waves", "6", "--serve-workers", "4"];
+/// shift closes a drifted window, forces a retrain+swap, and then
+/// serves verdicts from the swapped-in model.
+const ONLINE_SERIAL_ARGS: &[&str] = &["--online-waves", "8", "--serve-workers", "1"];
+const ONLINE_PARALLEL_ARGS: &[&str] = &["--online-waves", "8", "--serve-workers", "4"];
+
+/// Title prefixes of the sections the audit parses.
+const ONLINE_TITLE: &str = "Online: drift-triggered retrain";
+const FEDERATION_TITLE: &str = "Federation: tiered verdict replay";
 
 /// Attack knobs of the adversarial audit runs — a mid-strength link
 /// farm, enough to exercise the defended evaluation without dominating
@@ -204,13 +212,14 @@ pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
     // retrained, and swapped — a drift monitor that never fires would
     // make the byte-compare above vacuous.
     let online_text = String::from_utf8_lossy(&online_serial);
-    if !online_text.contains("Online: drift-triggered retrain") {
+    if !online_text.contains(ONLINE_TITLE) {
         return Err("online run printed no \"Online\" section".to_string());
     }
     if !swap_happened(&online_text) {
         return Err(
-            "online run never hot-swapped a model: the drift monitor did not \
-             trigger a retrain over the audited workload"
+            "online run never served a verdict from a hot-swapped model: \
+             the drift monitor did not trigger a retrain, or no request \
+             reached the swapped-in model, over the audited workload"
                 .to_string(),
         );
     }
@@ -281,7 +290,7 @@ pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
         );
     }
     let fed_text = String::from_utf8_lossy(&fed_serial);
-    if !fed_text.contains("Federation: tiered verdict replay") {
+    if !fed_text.contains(FEDERATION_TITLE) {
         return Err("federation run printed no \"Federation\" section".to_string());
     }
     if !federation_majority_cheap(&fed_text) {
@@ -305,18 +314,27 @@ pub fn run(workspace_root: &Path) -> Result<AuditReport, String> {
     })
 }
 
-/// True when the rendered "Federation" section shows a strict majority
-/// of requests answered before the slow path.
-fn federation_majority_cheap(report: &str) -> bool {
-    let row = |label: &str| {
-        report.lines().find_map(|line| {
+/// The count in the `label` row of the rendered section whose title
+/// starts with `title` (rows run to the blank line ending the section).
+fn section_row(report: &str, title: &str, label: &str) -> Option<u64> {
+    report
+        .lines()
+        .skip_while(|line| !line.starts_with(title))
+        .skip(1)
+        .take_while(|line| !line.trim().is_empty())
+        .find_map(|line| {
             let mut cells = line.split('|').map(str::trim).filter(|c| !c.is_empty());
             if cells.next() != Some(label) {
                 return None;
             }
             cells.next()?.parse::<u64>().ok()
         })
-    };
+}
+
+/// True when the rendered "Federation" section shows a strict majority
+/// of requests answered before the slow path.
+fn federation_majority_cheap(report: &str) -> bool {
+    let row = |label| section_row(report, FEDERATION_TITLE, label);
     match (row("requests"), row("answered before slow path")) {
         (Some(requests), Some(cheap)) => cheap * 2 > requests,
         _ => false,
@@ -324,16 +342,12 @@ fn federation_majority_cheap(report: &str) -> bool {
 }
 
 /// True when the rendered "Online" section records a nonzero model
-/// version — i.e. at least one drift-triggered retrain was swapped in.
+/// version and nonzero verdicts on swapped models — i.e. a
+/// drift-triggered retrain was swapped in and then answered requests.
 fn swap_happened(report: &str) -> bool {
-    report.lines().any(|line| {
-        let mut cells = line.split('|').map(str::trim).filter(|c| !c.is_empty());
-        cells.next() == Some("final model version")
-            && cells
-                .next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .is_some_and(|v| v > 0)
-    })
+    let row = |label| section_row(report, ONLINE_TITLE, label);
+    row("final model version").is_some_and(|v| v > 0)
+        && row("verdicts on swapped models").is_some_and(|v| v > 0)
 }
 
 /// Byte-compares the deterministic views of two rendered traces and
@@ -404,4 +418,40 @@ fn run_harness(
         .map_err(|e| format!("harness wrote no trace at {}: {e}", trace_path.display()))?;
     let _ = std::fs::remove_file(&trace_path);
     Ok((output.stdout, trace))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn online(version: u64, swapped: u64) -> String {
+        format!(
+            "Table 2\n| requests | 9 |\n\n{ONLINE_TITLE} (8 waves, seed 1)\n\
+             | Metric | Count |\n----\n| requests | 128 |\n\
+             | final model version | {version} |\n\
+             | verdicts on swapped models | {swapped} |\n\n"
+        )
+    }
+
+    #[test]
+    fn swap_needs_a_new_version_and_verdicts_served_from_it() {
+        assert!(swap_happened(&online(1, 12)));
+        assert!(!swap_happened(&online(1, 0)), "swap nothing answered from");
+        assert!(!swap_happened(&online(0, 0)));
+        assert!(!swap_happened("no online section"));
+    }
+
+    #[test]
+    fn rows_are_read_from_the_named_section_only() {
+        let report = format!(
+            "{}{FEDERATION_TITLE} (60 requests, seed 1)\n| requests | 60 |\n\
+             | answered before slow path | 31 |\n",
+            online(1, 1)
+        );
+        assert_eq!(section_row(&report, ONLINE_TITLE, "requests"), Some(128));
+        assert_eq!(section_row(&report, FEDERATION_TITLE, "requests"), Some(60));
+        assert!(federation_majority_cheap(&report));
+        let minority = report.replace("| 31 |", "| 30 |");
+        assert!(!federation_majority_cheap(&minority));
+    }
 }
